@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .machinecode import CompiledMethod
+if TYPE_CHECKING:  # pragma: no cover
+    from .machinecode import CompiledMethod
 
 
 class Frame:
@@ -27,12 +28,11 @@ class Frame:
         "entered_at_version",
     )
 
-    def __init__(self, code: CompiledMethod, arg_values: List[int], arg_cells: int = 0):
+    def __init__(self, code: "CompiledMethod", arg_values: List[int], arg_cells: int = 0):
         self.code = code
         self.pc = 0
         self.locals: List[int] = list(arg_values)
-        while len(self.locals) < code.max_locals:
-            self.locals.append(0)
+        self.locals.extend([0] * (code.max_locals - len(self.locals)))
         self.stack: List[int] = []
         #: how many caller stack slots (receiver + args) this call consumed;
         #: popped by the caller when this frame returns
@@ -41,10 +41,6 @@ class Frame:
         self.return_barrier = False
         #: bytecode version of the method when this frame was pushed
         self.entered_at_version = code.entry.bytecode_version
-
-    @property
-    def method_entry(self):
-        return self.code.entry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Frame {self.code.entry.qualified_name} pc={self.pc}>"
@@ -82,10 +78,6 @@ class VMThread:
 
     def is_alive(self) -> bool:
         return self.state != VMThread.DEAD
-
-    def stack_method_entries(self):
-        """Method entries currently on this thread's stack (DSU stack scan)."""
-        return [frame.code.entry for frame in self.frames]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VMThread {self.name} {self.state} depth={len(self.frames)}>"

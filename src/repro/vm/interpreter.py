@@ -1,10 +1,19 @@
 """The execution engine.
 
 Executes resolved machine code (:mod:`repro.vm.machinecode`) one thread at a
-time. Yield points sit at method entries, method exits and loop back edges,
-exactly where Jikes RVM puts them (paper §3.2): when the VM wants to stop
-the world (GC, DSU), it raises the yield flag and the running thread parks
-at its next yield point with every frame in a stack-map-consistent state.
+time. Yield points sit at method entries, method exits, loop back edges and
+native-call completion, exactly where Jikes RVM puts them (paper §3.2): when
+the VM wants to stop the world (GC, DSU), it raises the yield flag and the
+running thread parks at its next yield point with every frame in a
+stack-map-consistent state.
+
+Machine code is *pre-decoded*: every :class:`CompiledMethod` carries a
+handler table built once by :func:`decode`, one ``(handler, a, b)`` entry
+per pc. A handler executes one instruction, advances ``frame.pc`` itself,
+and returns ``None`` for straight-line code or a truthy signal
+(:data:`YIELD_POINT` or :data:`BLOCKED`). :meth:`Interpreter.run_thread`
+runs straight-line handlers back to back and looks at the yield flag and
+the quantum only when a handler signals a yield point.
 
 GC discipline: an instruction must not mutate the operand stack before its
 last potential allocation, so that a collection triggered mid-instruction
@@ -14,15 +23,17 @@ current pc describes it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
+from .frames import Frame
 from .heap import NULL
-from .machinecode import MethodEntry
 from .natives import Block, NativeContext, lookup_native
 from .objectmodel import VMTrap
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .frames import Frame, VMThread
+    from ..bytecode.instructions import Instr
+    from .frames import VMThread
+    from .machinecode import MethodEntry
     from .vm import VM
 
 #: reasons run_thread returns
@@ -31,6 +42,14 @@ PARKED_AT_YIELD = "yield"
 BLOCKED = "blocked"
 THREAD_DIED = "died"
 VM_HALTED = "halted"
+
+#: a handler's signal that the instruction it ran ends at a yield point
+#: (the other truthy signal is :data:`BLOCKED`)
+YIELD_POINT = "yield-point"
+
+#: ``handler(interpreter, thread, frame, a, b) -> None | signal``
+Handler = Callable[["Interpreter", "VMThread", Frame, Any, Any], Optional[str]]
+TableEntry = Tuple[Handler, Any, Any]
 
 
 class Interpreter:
@@ -50,240 +69,48 @@ class Interpreter:
         safe-point-consistent state.
         """
         vm = self.vm
+        clock = vm.clock
+        cost = clock.costs.instruction
+        frames = thread.frames
         steps = 0
         try:
             while True:
                 if vm.halted:
                     return VM_HALTED
-                if not thread.frames:
+                if not frames:
                     thread.state = thread.DEAD
                     return THREAD_DIED
-                frame = thread.frames[-1]
-                at_yield_point, outcome = self._step(thread, frame)
-                steps += 1
-                self.instructions_executed += 1
-                vm.clock.instruction()
-                if outcome == BLOCKED:
+                frame = frames[-1]
+                table = frame.code.table
+                # Straight-line handlers cannot change the top frame or its
+                # code, so the table stays valid until a handler signals.
+                # The clock ticks per instruction: a native reads it mid-quantum.
+                while True:
+                    handler, a, b = table[frame.pc]
+                    signal = handler(self, thread, frame, a, b)
+                    steps += 1
+                    clock.cycles += cost
+                    if signal:
+                        break
+                if signal is BLOCKED:
                     return BLOCKED
-                if at_yield_point:
-                    if vm.yield_flag or vm.yield_requested:
-                        vm.yield_requested = False
-                        return PARKED_AT_YIELD
-                    if steps >= quantum:
-                        return RAN_QUANTUM
+                if vm.yield_flag or vm.yield_requested:
+                    vm.yield_requested = False
+                    return PARKED_AT_YIELD
+                if steps >= quantum:
+                    return RAN_QUANTUM
         except VMTrap as trap:
             thread.trap_message = str(trap)
             thread.state = thread.DEAD
-            thread.frames.clear()
+            frames.clear()
             vm.record_trap(thread, trap)
             return THREAD_DIED
+        finally:
+            self.instructions_executed += steps
 
     # ------------------------------------------------------------------
-    # single instruction
-
-    def _step(self, thread: "VMThread", frame: "Frame"):
-        """Execute the instruction at ``frame.pc``.
-
-        Returns ``(at_yield_point, outcome)`` where outcome is ``None`` or
-        ``BLOCKED``.
-        """
-        vm = self.vm
-        code = frame.code.instructions
-        instr = code[frame.pc]
-        op = instr.op
-        stack = frame.stack
-
-        # --- constants / stack manipulation -----------------------------
-        if op == "CONST_INT":
-            stack.append(instr.a)
-        elif op == "CONST_BOOL":
-            stack.append(1 if instr.a else 0)
-        elif op == "CONST_NULL":
-            stack.append(NULL)
-        elif op == "CONST_STR":
-            stack.append(vm.intern_literal(instr.a))
-        elif op == "LOAD":
-            stack.append(frame.locals[instr.a])
-        elif op == "STORE":
-            frame.locals[instr.a] = stack.pop()
-        elif op == "POP":
-            stack.pop()
-        elif op == "DUP":
-            stack.append(stack[-1])
-        elif op == "SWAP":
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-
-        # --- arithmetic --------------------------------------------------
-        elif op == "ADD":
-            right = stack.pop()
-            stack[-1] = stack[-1] + right
-        elif op == "SUB":
-            right = stack.pop()
-            stack[-1] = stack[-1] - right
-        elif op == "MUL":
-            right = stack.pop()
-            stack[-1] = stack[-1] * right
-        elif op == "DIV":
-            right = stack.pop()
-            if right == 0:
-                raise VMTrap("division by zero")
-            stack[-1] = int(stack[-1] / right)  # truncate toward zero
-        elif op == "MOD":
-            right = stack.pop()
-            if right == 0:
-                raise VMTrap("modulo by zero")
-            left = stack[-1]
-            stack[-1] = left - int(left / right) * right
-        elif op == "NEG":
-            stack[-1] = -stack[-1]
-        elif op == "EQ":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] == right else 0
-        elif op == "NE":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] != right else 0
-        elif op == "LT":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] < right else 0
-        elif op == "LE":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] <= right else 0
-        elif op == "GT":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] > right else 0
-        elif op == "GE":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] >= right else 0
-        elif op == "NOT":
-            stack[-1] = 0 if stack[-1] else 1
-
-        # --- strings (allocation-careful: peek, allocate, then pop) ------
-        elif op == "I2S":
-            text = str(stack[-1])
-            address = vm.allocate_string(text)
-            stack[-1] = address
-        elif op == "B2S":
-            text = "true" if stack[-1] else "false"
-            address = vm.allocate_string(text)
-            stack[-1] = address
-        elif op == "SCONCAT":
-            left = vm.objects.string_payload(stack[-2]) if stack[-2] != NULL else "null"
-            right = vm.objects.string_payload(stack[-1]) if stack[-1] != NULL else "null"
-            address = vm.allocate_string(left + right)
-            stack.pop()
-            stack[-1] = address
-        elif op == "SEQ":
-            right = stack.pop()
-            left = stack[-1]
-            if left == NULL or right == NULL:
-                stack[-1] = 1 if left == right else 0
-            else:
-                stack[-1] = (
-                    1
-                    if vm.objects.string_payload(left) == vm.objects.string_payload(right)
-                    else 0
-                )
-        elif op == "REF_EQ":
-            if vm.lazy_barrier is not None:
-                # Identity must be forwarding-blind during a lazy epoch:
-                # canonicalize both operands (heal, never transform).
-                vm.lazy_barrier(frame, -1, heal_only=True)
-                vm.lazy_barrier(frame, -2, heal_only=True)
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] == right else 0
-
-        # --- heap access --------------------------------------------------
-        elif op == "NEW":
-            rvmclass = vm.registry.by_class_id(instr.a)
-            stack.append(vm.allocate_object(rvmclass))
-        elif op == "NEWARRAY":
-            array_class = vm.registry.by_class_id(instr.a)
-            length = stack[-1]
-            address = vm.allocate_array(array_class, length)
-            stack[-1] = address
-        elif op == "GETFIELD":
-            if vm.lazy_barrier is not None:
-                vm.lazy_barrier(frame, -1)
-            address = stack.pop()
-            if vm.transform_read_barrier:
-                vm.maybe_force_transform(address)
-            stack.append(vm.objects.read_cell(address, instr.a))
-        elif op == "PUTFIELD":
-            if vm.lazy_barrier is not None:
-                vm.lazy_barrier(frame, -2)
-            value = stack.pop()
-            address = stack.pop()
-            vm.objects.write_cell(address, instr.a, value)
-        elif op == "GETSTATIC":
-            stack.append(vm.jtoc.read(instr.a))
-        elif op == "PUTSTATIC":
-            vm.jtoc.write(instr.a, stack.pop())
-        elif op == "ALOAD":
-            index = stack.pop()
-            address = stack.pop()
-            stack.append(vm.objects.array_get(address, index))
-        elif op == "ASTORE":
-            value = stack.pop()
-            index = stack.pop()
-            address = stack.pop()
-            vm.objects.array_set(address, index, value)
-        elif op == "ARRAYLENGTH":
-            stack[-1] = vm.objects.array_length(stack[-1])
-        elif op == "CHECKCAST":
-            if vm.lazy_barrier is not None:
-                # Type tests need the *new* class: a pending object still
-                # carries its renamed old class, which is an instance of
-                # nothing the program can name.
-                vm.lazy_barrier(frame, -1)
-            vm.objects.checkcast(stack[-1], instr.a)
-        elif op == "INSTANCEOF":
-            if vm.lazy_barrier is not None:
-                vm.lazy_barrier(frame, -1)
-            stack[-1] = 1 if vm.objects.is_instance(stack[-1], instr.a) else 0
-
-        # --- control flow -------------------------------------------------
-        elif op == "JUMP":
-            target = instr.a
-            if target <= frame.pc:  # back edge: yield point
-                frame.pc = target
-                return True, None
-            frame.pc = target
-            return False, None
-        elif op == "JUMP_IF_FALSE":
-            if stack.pop() == 0:
-                frame.pc = instr.a
-                return False, None
-        elif op == "JUMP_IF_TRUE":
-            if stack.pop() != 0:
-                frame.pc = instr.a
-                return False, None
-
-        # --- calls ----------------------------------------------------------
-        elif op == "INVOKEVIRTUAL":
-            return self._invoke_virtual(thread, frame, instr.a, instr.b)
-        elif op == "INVOKESTATIC":
-            return self._invoke_entry(thread, frame, instr.a, instr.b, instr.b)
-        elif op == "INVOKESPECIAL":
-            return self._invoke_entry(thread, frame, instr.a, instr.b, instr.b)
-        elif op == "INVOKENATIVE":
-            argc, return_descriptor = instr.b
-            return self._invoke_native(
-                thread, frame, instr.a, argc, return_descriptor != "V"
-            )
-        elif op == "RETURN":
-            self._pop_frame(thread, frame, None)
-            return True, None
-        elif op == "RETURN_VALUE":
-            self._pop_frame(thread, frame, stack[-1])
-            return True, None
-        else:
-            raise VMTrap(f"unknown opcode {op}")
-
-        frame.pc += 1
-        return False, None
-
-    # ------------------------------------------------------------------
-    # call machinery
+    # call machinery (also the INVOKEVIRTUAL / INVOKESTATIC / INVOKESPECIAL
+    # handlers: table entries call them with the instruction's operands)
 
     def _invoke_virtual(self, thread, frame, tib_slot: int, argc: int):
         vm = self.vm
@@ -314,7 +141,7 @@ class Interpreter:
             )
         return self._push_frame(thread, frame, code, argc + 1)
 
-    def _invoke_entry(self, thread, frame, entry_id: int, argc: int, _):
+    def _invoke_entry(self, thread, frame, entry_id: int, argc: int):
         vm = self.vm
         entry = vm.methods.by_id(entry_id)
         if entry.obsolete:
@@ -331,24 +158,21 @@ class Interpreter:
         code = self._prepare_code(entry)
         return self._push_frame(thread, frame, code, argc)
 
-    def _prepare_code(self, entry: MethodEntry):
+    def _prepare_code(self, entry: "MethodEntry"):
         jit = self.vm.jit
         jit.count_invocation(entry)
         jit.maybe_optimize(entry)
         return jit.ensure_compiled(entry)
 
-    def _push_frame(self, thread, caller: "Frame", code, arg_cells: int):
-        from .frames import Frame
-
+    def _push_frame(self, thread, caller: Frame, code, arg_cells: int):
         if len(thread.frames) >= self.vm.max_stack_depth:
             raise VMTrap("stack overflow")
         args = caller.stack[-arg_cells:] if arg_cells else []
-        frame = Frame(code, args, arg_cells)
-        thread.frames.append(frame)
+        thread.frames.append(Frame(code, args, arg_cells))
         # Method entry is a yield point; the caller's pc stays at the call.
-        return True, None
+        return YIELD_POINT
 
-    def _pop_frame(self, thread, frame: "Frame", return_value):
+    def _pop_frame(self, thread, frame: Frame, return_value):
         vm = self.vm
         thread.frames.pop()
         if frame.return_barrier:
@@ -388,7 +212,7 @@ class Interpreter:
             thread.wake_condition = result.wake_condition
             thread.wake_at_ms = result.wake_at_ms
             # pc unchanged: the native re-executes on wake.
-            return True, BLOCKED
+            return BLOCKED
         vm.clock.tick(vm.clock.costs.native_call)
         if argc:
             del frame.stack[-argc:]
@@ -397,4 +221,414 @@ class Interpreter:
         frame.pc += 1
         # Native-call completion is a yield point (this is also what makes
         # Sys.yield take effect immediately).
-        return True, None
+        return YIELD_POINT
+
+
+# ----------------------------------------------------------------------
+# opcode handlers: ``handler(interp, thread, frame, a, b)``. Each one
+# advances ``frame.pc`` and returns None, except at a yield point.
+
+# --- constants / stack manipulation ------------------------------------
+
+
+def _push_constant(interp, thread, frame, a, b):
+    frame.stack.append(a)
+    frame.pc += 1
+
+
+def _const_str(interp, thread, frame, a, b):
+    frame.stack.append(interp.vm.intern_literal(a))
+    frame.pc += 1
+
+
+def _load(interp, thread, frame, a, b):
+    frame.stack.append(frame.locals[a])
+    frame.pc += 1
+
+
+def _store(interp, thread, frame, a, b):
+    frame.locals[a] = frame.stack.pop()
+    frame.pc += 1
+
+
+def _pop(interp, thread, frame, a, b):
+    frame.stack.pop()
+    frame.pc += 1
+
+
+def _dup(interp, thread, frame, a, b):
+    stack = frame.stack
+    stack.append(stack[-1])
+    frame.pc += 1
+
+
+def _swap(interp, thread, frame, a, b):
+    stack = frame.stack
+    stack[-1], stack[-2] = stack[-2], stack[-1]
+    frame.pc += 1
+
+
+# --- arithmetic ----------------------------------------------------------
+
+
+def _add(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = stack[-1] + right
+    frame.pc += 1
+
+
+def _sub(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = stack[-1] - right
+    frame.pc += 1
+
+
+def _mul(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = stack[-1] * right
+    frame.pc += 1
+
+
+def _div(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    if right == 0:
+        raise VMTrap("division by zero")
+    stack[-1] = int(stack[-1] / right)  # truncate toward zero
+    frame.pc += 1
+
+
+def _mod(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    if right == 0:
+        raise VMTrap("modulo by zero")
+    left = stack[-1]
+    stack[-1] = left - int(left / right) * right
+    frame.pc += 1
+
+
+def _neg(interp, thread, frame, a, b):
+    stack = frame.stack
+    stack[-1] = -stack[-1]
+    frame.pc += 1
+
+
+def _eq(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] == right else 0
+    frame.pc += 1
+
+
+def _ne(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] != right else 0
+    frame.pc += 1
+
+
+def _lt(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] < right else 0
+    frame.pc += 1
+
+
+def _le(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] <= right else 0
+    frame.pc += 1
+
+
+def _gt(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] > right else 0
+    frame.pc += 1
+
+
+def _ge(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] >= right else 0
+    frame.pc += 1
+
+
+def _not(interp, thread, frame, a, b):
+    stack = frame.stack
+    stack[-1] = 0 if stack[-1] else 1
+    frame.pc += 1
+
+
+# --- strings (allocation-careful: peek, allocate, then pop) -------------
+
+
+def _i2s(interp, thread, frame, a, b):
+    stack = frame.stack
+    address = interp.vm.allocate_string(str(stack[-1]))
+    stack[-1] = address
+    frame.pc += 1
+
+
+def _b2s(interp, thread, frame, a, b):
+    stack = frame.stack
+    address = interp.vm.allocate_string("true" if stack[-1] else "false")
+    stack[-1] = address
+    frame.pc += 1
+
+
+def _sconcat(interp, thread, frame, a, b):
+    vm = interp.vm
+    stack = frame.stack
+    left = vm.objects.string_payload(stack[-2]) if stack[-2] != NULL else "null"
+    right = vm.objects.string_payload(stack[-1]) if stack[-1] != NULL else "null"
+    address = vm.allocate_string(left + right)
+    stack.pop()
+    stack[-1] = address
+    frame.pc += 1
+
+
+def _seq(interp, thread, frame, a, b):
+    stack = frame.stack
+    right = stack.pop()
+    left = stack[-1]
+    if left == NULL or right == NULL:
+        stack[-1] = 1 if left == right else 0
+    else:
+        payload = interp.vm.objects.string_payload
+        stack[-1] = 1 if payload(left) == payload(right) else 0
+    frame.pc += 1
+
+
+def _ref_eq(interp, thread, frame, a, b):
+    vm = interp.vm
+    if vm.lazy_barrier is not None:
+        # Identity must be forwarding-blind during a lazy epoch:
+        # canonicalize both operands (heal, never transform).
+        vm.lazy_barrier(frame, -1, heal_only=True)
+        vm.lazy_barrier(frame, -2, heal_only=True)
+    stack = frame.stack
+    right = stack.pop()
+    stack[-1] = 1 if stack[-1] == right else 0
+    frame.pc += 1
+
+
+# --- heap access -----------------------------------------------------------
+
+
+def _new(interp, thread, frame, a, b):
+    vm = interp.vm
+    frame.stack.append(vm.allocate_object(vm.registry.by_class_id(a)))
+    frame.pc += 1
+
+
+def _newarray(interp, thread, frame, a, b):
+    vm = interp.vm
+    stack = frame.stack
+    address = vm.allocate_array(vm.registry.by_class_id(a), stack[-1])
+    stack[-1] = address
+    frame.pc += 1
+
+
+def _getfield(interp, thread, frame, a, b):
+    vm = interp.vm
+    if vm.lazy_barrier is not None:
+        vm.lazy_barrier(frame, -1)
+    stack = frame.stack
+    address = stack.pop()
+    if vm.transform_read_barrier:
+        vm.maybe_force_transform(address)
+    stack.append(vm.objects.read_cell(address, a))
+    frame.pc += 1
+
+
+def _putfield(interp, thread, frame, a, b):
+    vm = interp.vm
+    if vm.lazy_barrier is not None:
+        vm.lazy_barrier(frame, -2)
+    stack = frame.stack
+    value = stack.pop()
+    address = stack.pop()
+    vm.objects.write_cell(address, a, value)
+    frame.pc += 1
+
+
+def _getstatic(interp, thread, frame, a, b):
+    frame.stack.append(interp.vm.jtoc.read(a))
+    frame.pc += 1
+
+
+def _putstatic(interp, thread, frame, a, b):
+    interp.vm.jtoc.write(a, frame.stack.pop())
+    frame.pc += 1
+
+
+def _aload(interp, thread, frame, a, b):
+    stack = frame.stack
+    index = stack.pop()
+    address = stack.pop()
+    stack.append(interp.vm.objects.array_get(address, index))
+    frame.pc += 1
+
+
+def _astore(interp, thread, frame, a, b):
+    stack = frame.stack
+    value = stack.pop()
+    index = stack.pop()
+    address = stack.pop()
+    interp.vm.objects.array_set(address, index, value)
+    frame.pc += 1
+
+
+def _arraylength(interp, thread, frame, a, b):
+    stack = frame.stack
+    stack[-1] = interp.vm.objects.array_length(stack[-1])
+    frame.pc += 1
+
+
+def _checkcast(interp, thread, frame, a, b):
+    vm = interp.vm
+    if vm.lazy_barrier is not None:
+        # Type tests need the *new* class: a pending object still
+        # carries its renamed old class, which is an instance of
+        # nothing the program can name.
+        vm.lazy_barrier(frame, -1)
+    vm.objects.checkcast(frame.stack[-1], a)
+    frame.pc += 1
+
+
+def _instanceof(interp, thread, frame, a, b):
+    vm = interp.vm
+    if vm.lazy_barrier is not None:
+        vm.lazy_barrier(frame, -1)
+    stack = frame.stack
+    stack[-1] = 1 if vm.objects.is_instance(stack[-1], a) else 0
+    frame.pc += 1
+
+
+# --- control flow ------------------------------------------------------------
+
+
+def _jump(interp, thread, frame, a, b):
+    frame.pc = a
+
+
+def _jump_back_edge(interp, thread, frame, a, b):
+    frame.pc = a
+    return YIELD_POINT
+
+
+def _jump_if_false(interp, thread, frame, a, b):
+    if frame.stack.pop() == 0:
+        frame.pc = a
+    else:
+        frame.pc += 1
+
+
+def _jump_if_true(interp, thread, frame, a, b):
+    if frame.stack.pop() != 0:
+        frame.pc = a
+    else:
+        frame.pc += 1
+
+
+# --- calls -------------------------------------------------------------------
+
+
+def _invoke_native(interp, thread, frame, a, b):
+    # Looked up on the instance at call time, so a class-level wrapper of
+    # Interpreter._invoke_native sees every native call.
+    return interp._invoke_native(thread, frame, a, b[0], b[1])
+
+
+def _return(interp, thread, frame, a, b):
+    interp._pop_frame(thread, frame, None)
+    return YIELD_POINT
+
+
+def _return_value(interp, thread, frame, a, b):
+    interp._pop_frame(thread, frame, frame.stack[-1])
+    return YIELD_POINT
+
+
+def _unknown_opcode(interp, thread, frame, a, b):
+    raise VMTrap(f"unknown opcode {a}")
+
+
+#: opcodes whose table entry is ``(handler, instr.a, instr.b)``
+_HANDLERS = {
+    "CONST_INT": _push_constant,
+    "CONST_STR": _const_str,
+    "LOAD": _load,
+    "STORE": _store,
+    "POP": _pop,
+    "DUP": _dup,
+    "SWAP": _swap,
+    "ADD": _add,
+    "SUB": _sub,
+    "MUL": _mul,
+    "DIV": _div,
+    "MOD": _mod,
+    "NEG": _neg,
+    "EQ": _eq,
+    "NE": _ne,
+    "LT": _lt,
+    "LE": _le,
+    "GT": _gt,
+    "GE": _ge,
+    "NOT": _not,
+    "I2S": _i2s,
+    "B2S": _b2s,
+    "SCONCAT": _sconcat,
+    "SEQ": _seq,
+    "REF_EQ": _ref_eq,
+    "NEW": _new,
+    "NEWARRAY": _newarray,
+    "GETFIELD": _getfield,
+    "PUTFIELD": _putfield,
+    "GETSTATIC": _getstatic,
+    "PUTSTATIC": _putstatic,
+    "ALOAD": _aload,
+    "ASTORE": _astore,
+    "ARRAYLENGTH": _arraylength,
+    "CHECKCAST": _checkcast,
+    "INSTANCEOF": _instanceof,
+    "JUMP_IF_FALSE": _jump_if_false,
+    "JUMP_IF_TRUE": _jump_if_true,
+    "INVOKEVIRTUAL": Interpreter._invoke_virtual,
+    "INVOKESTATIC": Interpreter._invoke_entry,
+    "INVOKESPECIAL": Interpreter._invoke_entry,
+    "RETURN": _return,
+    "RETURN_VALUE": _return_value,
+}
+
+
+def decode(instructions: Sequence["Instr"]) -> List[TableEntry]:
+    """Pre-decode resolved machine code into its handler table, one
+    ``(handler, a, b)`` entry per pc. Operands that only steer the
+    handler are folded in here: constant booleans and ``null`` become
+    plain pushes, a ``JUMP`` is a back edge (a yield point) or not, and a
+    native call's return descriptor becomes a has-result flag. An
+    unknown opcode decodes to a handler that traps when it is reached."""
+    table: List[TableEntry] = []
+    for pc, instr in enumerate(instructions):
+        op, a, b = instr.op, instr.a, instr.b
+        if op == "CONST_BOOL":
+            table.append((_push_constant, 1 if a else 0, None))
+        elif op == "CONST_NULL":
+            table.append((_push_constant, NULL, None))
+        elif op == "JUMP":
+            table.append((_jump_back_edge if a <= pc else _jump, a, None))
+        elif op == "INVOKENATIVE":
+            argc, return_descriptor = b
+            table.append((_invoke_native, a, (argc, return_descriptor != "V")))
+        elif op in _HANDLERS:
+            table.append((_HANDLERS[op], a, b))
+        else:
+            table.append((_unknown_opcode, op, None))
+    return table

@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..bytecode.classfile import MethodInfo
 from ..bytecode.instructions import Instr
 from ..bytecode.verifier import TypeState
+from .interpreter import TableEntry, decode
 from .rvmclass import RVMClass
 
 BASE_TIER = "base"
@@ -43,13 +44,17 @@ class CompiledMethod:
     #: methods whose bodies were inlined into this code (opt tier); a DSU
     #: update to any of them restricts this method too (paper §3.2)
     inlined: FrozenSet[Tuple[str, str, str]] = frozenset()
+    #: the interpreter's handler table, one ``(handler, a, b)`` per pc,
+    #: decoded once here. It is owned by this code object, so every swap
+    #: of ``frame.code`` (OSR, rollback) swaps it too.
+    table: List[TableEntry] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.table = decode(self.instructions)
 
     @property
     def is_base(self) -> bool:
         return self.tier == BASE_TIER
-
-    def reference_map_at(self, pc: int):
-        return self.stack_states[pc].reference_map()
 
 
 class MethodEntry:

@@ -1,8 +1,16 @@
 """Unit tests for the interpreter and the cooperative scheduler."""
 
+import dataclasses
+
 import pytest
 
+from repro.bytecode.instructions import Instr
 from repro.compiler.compile import compile_source
+from repro.dsu.transaction import UpdateTransaction
+from repro.vm import natives
+from repro.vm.frames import Frame, VMThread
+from repro.vm.interpreter import RAN_QUANTUM, THREAD_DIED
+from repro.vm.osr import osr_replace
 from repro.vm.vm import VM
 
 from tests.conftest import make_vm, run_main
@@ -194,3 +202,192 @@ class TestScheduler:
         )
         assert vm.console == ["survived"]
         assert any("division" in line for line in vm.trap_log)
+
+
+def _hand_built(instructions):
+    """A VM plus a thread whose one frame runs ``instructions`` (machine
+    code, used as is: never verified, never resolved)."""
+    vm = make_vm("class T { static void f() { } }")
+    code = vm.jit.compile_base(vm.methods.lookup("T", "f", "()V"))
+    code = dataclasses.replace(code, instructions=list(instructions))
+    thread = VMThread()
+    thread.frames.append(Frame(code, [], 0))
+    vm.threads.append(thread)
+    return vm, thread
+
+
+class TestInterpreterContract:
+    def test_unknown_opcode_traps_only_when_reached(self):
+        skipped = [
+            Instr("CONST_INT", 1),
+            Instr("JUMP_IF_TRUE", 3),
+            Instr("BOGUS"),
+            Instr("RETURN"),
+        ]
+        vm, thread = _hand_built(skipped)
+        while thread.is_alive():
+            vm.interpreter.run_thread(thread, 100)
+        assert thread.trap_message is None
+        assert vm.trap_log == []
+
+        reached = [Instr("CONST_INT", 0)] + skipped[1:]
+        vm, thread = _hand_built(reached)
+        assert vm.interpreter.run_thread(thread, 100) == THREAD_DIED
+        assert thread.trap_message == "unknown opcode BOGUS"
+        assert len(vm.trap_log) == 1
+
+    def test_trapping_div_is_neither_counted_nor_ticked(self):
+        vm, thread = _hand_built([
+            Instr("CONST_INT", 1),
+            Instr("CONST_INT", 0),
+            Instr("DIV"),
+            Instr("RETURN"),
+        ])
+        executed = vm.interpreter.instructions_executed
+        cycles = vm.clock.cycles
+        assert vm.interpreter.run_thread(thread, 100) == THREAD_DIED
+        assert thread.trap_message == "division by zero"
+        assert vm.interpreter.instructions_executed - executed == 2
+        assert vm.clock.cycles - cycles == 2 * vm.clock.costs.instruction
+
+    def test_native_sees_the_cycles_of_the_instructions_before_it(
+        self, monkeypatch
+    ):
+        seen = []
+
+        def probe(context, args):
+            seen.append(context.vm.clock.cycles)
+            return 0
+
+        monkeypatch.setitem(natives._REGISTRY, "Probe.cycles", probe)
+        vm, thread = _hand_built([
+            Instr("CONST_INT", 1),
+            Instr("POP"),
+            Instr("CONST_INT", 2),
+            Instr("POP"),
+            Instr("INVOKENATIVE", "Probe.cycles", (0, "V")),
+            Instr("RETURN"),
+        ])
+        costs = vm.clock.costs
+        start = vm.clock.cycles
+        while thread.is_alive():
+            vm.interpreter.run_thread(thread, 1_000)
+        assert seen == [start + 4 * costs.instruction]
+        assert vm.clock.cycles - start == 6 * costs.instruction + costs.native_call
+
+    def test_back_edge_jump_is_a_yield_point_and_forward_jump_is_not(self):
+        # pc 0 jumps forward to pc 1, which jumps back to pc 0: a quantum
+        # of one instruction ends only at the back edge.
+        vm, thread = _hand_built([Instr("JUMP", 1), Instr("JUMP", 0)])
+        frame = thread.frames[0]
+        for _ in range(3):
+            executed = vm.interpreter.instructions_executed
+            assert vm.interpreter.run_thread(thread, 1) == RAN_QUANTUM
+            assert frame.pc == 0
+            assert vm.interpreter.instructions_executed - executed == 2
+
+
+SUM_PROGRAM = """
+class W {
+    static int sum(int n) {
+        int s = 0;
+        int i = 0;
+        while (i < n) { s = s + 7; i = i + 1; }
+        return s;
+    }
+}
+"""
+
+
+class TestDispatchFollowsFrameCode:
+    """The decoded handler table belongs to the code object, so swapping
+    ``frame.code`` swaps the operands the interpreter runs. Both swaps
+    keep the method entry and the code length, so a table cached per
+    method entry would keep running the old operands. The code the
+    rollback restores also reuses the ``id()`` of a freed code object
+    that ran before it, so a table cached by ``id()`` would run that
+    object's operands."""
+
+    N = 20
+
+    def _frame_on_sum(self):
+        vm = make_vm(SUM_PROGRAM)
+        entry = vm.methods.lookup("W", "sum", "(I)I")
+        code = vm.jit.compile_base(entry)
+        thread = VMThread()
+        frame = Frame(code, [self.N], 0)
+        thread.frames.append(frame)
+        vm.threads.append(thread)
+        # Park at a loop back edge with some iterations done.
+        assert vm.interpreter.run_thread(thread, 20) == RAN_QUANTUM
+        assert 0 < frame.locals[2] < self.N
+        return vm, entry, thread, frame
+
+    @staticmethod
+    def _step_by(instructions, step):
+        replaced = [
+            Instr("CONST_INT", step) if i == Instr("CONST_INT", 7) else i
+            for i in instructions
+        ]
+        assert replaced != list(instructions)
+        return replaced
+
+    def _reusing_a_decoys_id(self, vm, thread, frame, instructions):
+        """A copy of ``frame.code`` running ``instructions``, built right
+        after a same-length decoy (stepping by 5) ran one quantum in the
+        frame and was freed. Retried until the copy gets the decoy's
+        ``id()``; the frame is left exactly as it was."""
+        code, pc = frame.code, frame.pc
+        local_cells, stack_cells = list(frame.locals), list(frame.stack)
+        decoy_instructions = self._step_by(code.instructions, 5)
+        for _ in range(100):
+            frame.code = dataclasses.replace(
+                code, instructions=decoy_instructions
+            )
+            vm.interpreter.run_thread(thread, 20)
+            stale = id(frame.code)
+            frame.code = code  # frees the decoy
+            copy = dataclasses.replace(code, instructions=instructions)
+            frame.pc = pc
+            frame.locals, frame.stack = list(local_cells), list(stack_cells)
+            if id(copy) == stale:
+                break
+        return copy
+
+    @staticmethod
+    def _finish(vm, thread):
+        while thread.is_alive():
+            vm.interpreter.run_thread(thread, 20)
+        return thread.result
+
+    def test_osr_replace_runs_the_new_operands(self):
+        vm, entry, thread, frame = self._frame_on_sum()
+        old_length = len(frame.code.instructions)
+        s, i = frame.locals[1], frame.locals[2]
+        assert s == 7 * i
+        # Same bytecode length and version, different constant: OSR
+        # recompiles against it and swaps the code under the frame.
+        entry.info = dataclasses.replace(
+            entry.info, instructions=self._step_by(entry.info.instructions, 1000)
+        )
+        osr_replace(vm, frame)
+        assert len(frame.code.instructions) == old_length
+        assert self._finish(vm, thread) == s + 1000 * (self.N - i)
+
+    def test_rollback_restores_the_swapped_out_operands(self):
+        vm, entry, thread, frame = self._frame_on_sum()
+        old_code = frame.code
+        s, i = frame.locals[1], frame.locals[2]
+        frame.code = self._reusing_a_decoys_id(
+            vm, thread, frame, self._step_by(old_code.instructions, 1000)
+        )
+        transaction = UpdateTransaction(vm)
+        # An update swaps the old code back in and runs on it ...
+        frame.code = old_code
+        vm.interpreter.run_thread(thread, 20)
+        assert frame.locals[1] == 7 * frame.locals[2]
+        # ... and the rollback swaps the snapshot's code back under it.
+        transaction.rollback()
+        assert frame.code is not old_code
+        assert (frame.locals[1], frame.locals[2]) == (s, i)
+        assert self._finish(vm, thread) == s + 1000 * (self.N - i)
