@@ -26,6 +26,11 @@ class EventQueue:
     def next_time(self) -> Optional[float]:
         return self._heap[0][0] if self._heap else None
 
+    def has_due(self, now_ms: float) -> bool:
+        """Whether an event is due at or before ``now_ms`` (pops nothing)."""
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= now_ms
+
     def pop_due(self, now_ms: float):
         """Yield callbacks due at or before ``now_ms``, in time order."""
         due = []

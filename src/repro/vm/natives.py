@@ -28,7 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Block:
     """Returned by a native that cannot complete yet."""
 
-    wake_condition: Callable[[], bool]
+    #: predicate polled by the scheduler; None waits for ``wake_at_ms`` only
+    wake_condition: Optional[Callable[[], bool]]
     wake_at_ms: Optional[float] = None
 
 
@@ -115,10 +116,10 @@ def _sys_sleep(ctx: NativeContext, args):
         if ctx.vm.clock.now_ms >= pending[1]:
             del ctx.vm.sleep_deadlines[thread.id]
             return 0
-        return Block(lambda: False, wake_at_ms=pending[1])
+        return Block(None, wake_at_ms=pending[1])
     deadline = ctx.vm.clock.now_ms + args[0]
     ctx.vm.sleep_deadlines[thread.id] = (deadline_key, deadline)
-    return Block(lambda: False, wake_at_ms=deadline)
+    return Block(None, wake_at_ms=deadline)
 
 
 @native("Sys.spawn")

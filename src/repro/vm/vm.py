@@ -108,9 +108,10 @@ class VM:
         #: interpreter dereferences the reference in that operand-stack
         #: slot; heals forwarding and transforms pending objects in place
         self.lazy_barrier: Optional[Callable[..., None]] = None
-        #: background-work hook run inside ``sched.idle`` stalls before the
-        #: clock fast-forwards: the lazy epoch's sweep drains here, ticking
-        #: the clock itself up to the target time
+        #: background-work hook run in each idle stall (every thread
+        #: blocked, no event due) before the clock fast-forwards, called
+        #: with the stall's target time: the lazy epoch's sweep drains
+        #: here, ticking the clock itself up to that time
         self.idle_work_hook: Optional[Callable[[float], None]] = None
 
         self._rng_state = seed or 1
@@ -232,41 +233,19 @@ class VM:
     def runnable_threads(self) -> List[VMThread]:
         return [t for t in self.threads if t.state == VMThread.RUNNABLE]
 
-    def _wake_blocked(self) -> None:
-        now = self.clock.now_ms
-        for thread in self.threads:
-            if thread.state != VMThread.BLOCKED:
-                continue
-            ready = False
-            if thread.wake_at_ms is not None and now >= thread.wake_at_ms:
-                ready = True
-            elif thread.wake_condition is not None and thread.wake_condition():
-                ready = True
-            if ready:
-                thread.state = VMThread.RUNNABLE
-                thread.wake_condition = None
-                thread.wake_at_ms = None
-
     def _next_wake_time(self) -> Optional[float]:
-        times = []
-        event_time = self.events.next_time()
-        if event_time is not None:
-            times.append(event_time)
+        """The earliest due event or sleep deadline, or None when nothing
+        will ever wake a thread."""
+        earliest = self.events.next_time()
         for thread in self.threads:
-            if thread.state == VMThread.BLOCKED and thread.wake_at_ms is not None:
-                times.append(thread.wake_at_ms)
-        return min(times) if times else None
-
-    def _pick_thread(self) -> Optional[VMThread]:
-        runnable = self.runnable_threads()
-        if not runnable:
-            return None
-        self._schedule_index = (self._schedule_index + 1) % len(runnable)
-        return runnable[self._schedule_index]
-
-    def process_events(self) -> None:
-        for callback in self.events.pop_due(self.clock.now_ms):
-            callback()
+            wake_at = thread.wake_at_ms
+            if (
+                wake_at is not None
+                and thread.state == VMThread.BLOCKED
+                and (earliest is None or wake_at < earliest)
+            ):
+                earliest = wake_at
+        return earliest
 
     def run(
         self,
@@ -275,21 +254,55 @@ class VM:
     ) -> None:
         """Drive the scheduler until ``until_ms`` simulated time, the
         instruction budget, VM halt, or global idleness (no runnable or
-        wakeable threads and no events)."""
-        start_instructions = self.interpreter.instructions_executed
+        wakeable threads and no events).
+
+        One pass runs the events due now, then makes one scan over
+        ``self.threads`` that wakes every blocked thread whose deadline
+        passed or whose wake condition holds and collects the runnable
+        ones in list order; the next of those in round-robin order runs
+        one quantum."""
+        clock = self.clock
+        events = self.events
+        interpreter = self.interpreter
+        runnable_state = VMThread.RUNNABLE
+        blocked_state = VMThread.BLOCKED
+        dead_state = VMThread.DEAD
+        budget_end = (
+            None if max_instructions is None
+            else interpreter.instructions_executed + max_instructions
+        )
         while not self.halted:
-            if until_ms is not None and self.clock.now_ms >= until_ms:
+            now = clock.now_ms
+            if until_ms is not None and now >= until_ms:
                 return
             if (
-                max_instructions is not None
-                and self.interpreter.instructions_executed - start_instructions
-                >= max_instructions
+                budget_end is not None
+                and interpreter.instructions_executed >= budget_end
             ):
                 return
-            self.process_events()
-            self._wake_blocked()
-            thread = self._pick_thread()
-            if thread is None:
+            if events.has_due(now):
+                for callback in events.pop_due(now):
+                    callback()
+                now = clock.now_ms
+            runnable = []
+            saw_dead = False
+            for thread in self.threads:
+                state = thread.state
+                if state == runnable_state:
+                    runnable.append(thread)
+                elif state == blocked_state:
+                    wake_at = thread.wake_at_ms
+                    condition = thread.wake_condition
+                    if (wake_at is not None and now >= wake_at) or (
+                        condition is not None and condition()
+                    ):
+                        thread.state = runnable_state
+                        thread.wake_condition = None
+                        thread.wake_at_ms = None
+                        runnable.append(thread)
+                else:
+                    saw_dead = True
+            if not runnable:
                 # Every thread is blocked (or dead) — that is a VM safe
                 # point too, so a pending update gets its chance here.
                 if self.update_pending and self.on_world_stopped is not None:
@@ -303,8 +316,17 @@ class VM:
                     return
                 self._advance_idle(next_time)
                 continue
-            self.interpreter.run_thread(thread, self.quantum)
-            self._reap_dead_threads()
+            self._schedule_index = index = (
+                (self._schedule_index + 1) % len(runnable)
+            )
+            thread = runnable[index]
+            interpreter.run_thread(thread, self.quantum)
+            # Only the thread that just ran can have died in its quantum;
+            # ``saw_dead`` catches threads that died outside this loop.
+            if saw_dead or thread.state == dead_state:
+                self.threads = [
+                    t for t in self.threads if t.state != dead_state
+                ]
             # All threads are now parked at safe points: give the DSU
             # engine its chance (paper: "Once application threads on all
             # processors have reached VM safe points, Jvolve checks ...").
@@ -312,27 +334,26 @@ class VM:
                 self.on_world_stopped()
 
     def _advance_idle(self, target_ms: float) -> None:
-        """Fast-forward to ``target_ms`` with the stall attributed in the
-        trace: every thread is blocked and the event queue has nothing due,
-        so this is dead time the scheduler (or a pending update waiting on
-        its safe point) simply sits through."""
-        if target_ms <= self.clock.now_ms:
-            self.clock.advance_to_ms(target_ms)
+        """Fast-forward to ``target_ms``: every thread is blocked and the
+        event queue has nothing due, so this is dead time the scheduler
+        (or a pending update waiting on its safe point) simply sits
+        through. It is recorded in metrics only, never as a span, so a
+        long-running server retains no trace per stall: each stall counts
+        one ``sched.idle_stalls`` and observes its length in
+        ``sched.idle_ms``."""
+        clock = self.clock
+        before_ms = clock.now_ms
+        if target_ms <= before_ms:
+            clock.advance_to_ms(target_ms)
             return
-        before_ms = self.clock.now_ms
-        with self.tracer.span("sched.idle", "sched"):
-            if self.idle_work_hook is not None:
-                # Idle slices are where background work (the lazy epoch's
-                # sweep) runs: it ticks the clock as it goes, and the
-                # advance below is a no-op for whatever it consumed.
-                self.idle_work_hook(target_ms)
-            self.clock.advance_to_ms(target_ms)
+        if self.idle_work_hook is not None:
+            # Idle slices are where background work (the lazy epoch's
+            # sweep) runs: it ticks the clock as it goes, and the
+            # advance below is a no-op for whatever it consumed.
+            self.idle_work_hook(target_ms)
+        clock.advance_to_ms(target_ms)
         self.metrics.inc("sched.idle_stalls")
-        self.metrics.observe("sched.idle_ms", self.clock.now_ms - before_ms)
-
-    def _reap_dead_threads(self) -> None:
-        if any(t.state == VMThread.DEAD for t in self.threads):
-            self.threads = [t for t in self.threads if t.state != VMThread.DEAD]
+        self.metrics.observe("sched.idle_ms", clock.now_ms - before_ms)
 
     # ------------------------------------------------------------------
     # synchronous execution (bootstrap, <clinit>, transformers)

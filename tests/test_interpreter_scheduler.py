@@ -203,6 +203,150 @@ class TestScheduler:
         assert vm.console == ["survived"]
         assert any("division" in line for line in vm.trap_log)
 
+    # -- the scheduler contract: one pass runs the due events, wakes and
+    # collects threads in list order, then runs the next runnable thread
+    # round-robin for one quantum, or stalls idle until the next wake
+
+    def test_round_robin_order_and_cycles_are_pinned(self):
+        vm = run_main(
+            """
+            class Busy {
+                int id;
+                Busy(int id0) { this.id = id0; }
+                void run() {
+                    for (int i = 0; i < 4; i = i + 1) {
+                        Sys.print(id + "." + i);
+                    }
+                }
+            }
+            class Main {
+                static void main() {
+                    Sys.spawn(new Busy(1));
+                    Sys.spawn(new Busy(2));
+                    Sys.spawn(new Busy(3));
+                }
+            }
+            """,
+            quantum=30,
+        )
+        assert vm.console == [
+            "1.0", "1.1", "2.0", "2.1", "2.2", "2.3",
+            "3.0", "3.1", "1.2", "1.3", "3.2", "3.3",
+        ]
+        assert vm.clock.cycles == 8741
+        assert vm.interpreter.instructions_executed == 274
+
+    def test_event_due_now_runs_before_the_wake_scan(self):
+        vm = make_vm(
+            """
+            class Main {
+                static void main() {
+                    int fd = Net.accept(Net.listen(9));
+                    Sys.print("accepted@" + Sys.time());
+                }
+            }
+            """
+        )
+        fired = []
+
+        def connect():
+            fired.append(vm.clock.now_ms)
+            vm.network.client_connect(9)
+
+        vm.events.schedule(5.0, connect)
+        vm.start_main("Main")
+        vm.run(until_ms=50)
+        # Main parks in accept and the VM stalls to the event. In the next
+        # pass the event is due at exactly ``now`` and runs before the
+        # wake scan, so the scan sees the connection: main resumes at the
+        # event's time, after that one stall and no other.
+        assert fired == [5.0]
+        assert vm.console == ["accepted@5"]
+        assert vm.metrics.counters["sched.idle_stalls"].value == 1
+
+    def test_idle_stall_runs_the_work_hook_once_with_its_target(self):
+        vm = make_vm(
+            """
+            class Main {
+                static void main() { while (true) { Sys.sleep(10); } }
+            }
+            """
+        )
+        calls = []
+
+        def hook(target_ms):
+            calls.append((target_ms, vm.clock.now_ms))
+            vm.clock.tick(1_000)  # background work consumes part of it
+
+        vm.idle_work_hook = hook
+        vm.start_main("Main")
+        vm.run(until_ms=35)
+        stalls = vm.metrics.counters["sched.idle_stalls"].value
+        idle_ms = vm.metrics.histograms["sched.idle_ms"]
+        assert len(calls) == stalls == idle_ms.count == 4
+        assert all(target > before for target, before in calls)
+        # The last stall stops at ``until_ms`` exactly; the clock ends at
+        # or past every target.
+        assert calls[-1][0] == 35
+        assert vm.clock.now_ms >= 35
+        # Each stall lasts from its start to (at least) its target.
+        assert idle_ms.total >= sum(t - before for t, before in calls)
+
+    def test_pending_update_runs_before_the_clock_advances(self):
+        vm = make_vm(
+            """
+            class Main {
+                static void main() { while (true) { Sys.sleep(10); } }
+            }
+            """
+        )
+        vm.start_main("Main")
+        vm.run(until_ms=5)
+        before = vm.clock.now_ms
+        stalls = vm.metrics.counters["sched.idle_stalls"].value
+        seen = []
+
+        def world_stopped():
+            seen.append(
+                (vm.clock.now_ms, vm.metrics.counters["sched.idle_stalls"].value)
+            )
+            vm.update_pending = False
+
+        vm.update_pending = True
+        vm.on_world_stopped = world_stopped
+        vm.run(until_ms=20)
+        # The sleeper is blocked, so the first pass is a safe point: the
+        # hook runs there, before any idle stall moves the clock.
+        assert seen == [(before, stalls)]
+        assert vm.clock.now_ms == 20
+
+    def test_instruction_budget_stops_at_the_first_quantum_boundary(self):
+        vm = make_vm(
+            """
+            class Main {
+                static void main() {
+                    int i = 0;
+                    while (true) { i = i + 1; }
+                }
+            }
+            """,
+            quantum=100,
+        )
+        vm.start_main("Main")
+        run_thread = vm.interpreter.run_thread
+        quanta = []
+
+        def counting(thread, quantum):
+            before = vm.interpreter.instructions_executed
+            reason = run_thread(thread, quantum)
+            quanta.append(vm.interpreter.instructions_executed - before)
+            return reason
+
+        vm.interpreter.run_thread = counting
+        vm.run(max_instructions=250)
+        assert sum(quanta[:-1]) < 250 <= sum(quanta)
+        assert vm.interpreter.instructions_executed == sum(quanta)
+
 
 def _hand_built(instructions):
     """A VM plus a thread whose one frame runs ``instructions`` (machine

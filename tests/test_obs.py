@@ -15,10 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.jetty.versions import MAIN_CLASS, VERSIONS
 from repro.dsu.engine import UpdateEngine, UpdateRequest
 from repro.dsu.faults import FaultInjector, FaultPlan
 from repro.dsu.policy import UpdatePolicy
 from repro.dsu.safepoint import RetryPolicy
+from repro.harness.updates import AppDriver
 from repro.obs import Metrics, Tracer
 from repro.obs.export import chrome_trace, render_span_tree
 from repro.vm.clock import Clock, PhaseTimer
@@ -428,6 +430,34 @@ class TestBundledUpdateTraces:
             if row.transform_mode == "lazy" and not row.transform_map_empty:
                 assert row.phases.get("gc", 0.0) == 0.0
                 assert row.objects_transformed == 0
+
+
+# ---------------------------------------------------------------------------
+# Idle stalls on a long-running server
+
+
+class TestIdleStallRetention:
+    """An idle server stays observable in bounded memory. Each idle stall
+    counts one ``sched.idle_stalls`` and observes its length in
+    ``sched.idle_ms``, and retains no span, so a ten times longer idle
+    run retains exactly as many spans. By design this fails on a
+    scheduler that opens a ``sched.idle`` span per stall, as earlier
+    versions did: those retained 1,052 and 10,046 spans for these runs."""
+
+    @staticmethod
+    def _idle_jetty(until_ms):
+        driver = AppDriver("jetty", VERSIONS, MAIN_CLASS).boot("5.1.10")
+        driver.run(until_ms=until_ms)
+        return driver.vm
+
+    def test_ten_times_longer_idle_run_retains_the_same_spans(self):
+        short, long = self._idle_jetty(1_000), self._idle_jetty(10_000)
+        spans = [sum(1 for _ in vm.tracer.walk()) for vm in (short, long)]
+        assert spans[0] == spans[1]
+        assert not long.tracer.find("sched.idle")
+        assert short.metrics.counters["sched.idle_stalls"].value == 1_040
+        assert long.metrics.counters["sched.idle_stalls"].value == 10_034
+        assert long.metrics.histograms["sched.idle_ms"].count == 10_034
 
 
 # ---------------------------------------------------------------------------
