@@ -76,6 +76,10 @@ from .upt import TRANSFORMERS_CLASS, PreparedUpdate
 if TYPE_CHECKING:  # pragma: no cover
     from ..vm.vm import VM
 
+#: an update's transformer-dispatch table: new class id -> (its
+#: ``jvolveObject`` entry or None, the cycles one object's transform costs)
+TransformerDispatch = Dict[int, Tuple[Optional[MethodEntry], int]]
+
 APPLIED = "applied"
 ABORTED = "aborted"
 PENDING = "pending"
@@ -374,10 +378,8 @@ class LazyEpoch:
     heals: int = 0
     closed: bool = False
     transformed_log: List[Tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def prefix(self) -> str:
-        return self.prepared.prefix
+    #: the update's transformer-dispatch table, built when the epoch opens
+    dispatch: TransformerDispatch = field(default_factory=dict)
 
 
 class _ActiveUpdate:
@@ -399,6 +401,8 @@ class _ActiveUpdate:
         self.round_deadline_ms = started_ms + policy.round_timeout_ms(0)
         self.update_map: Dict[int, RVMClass] = {}
         self.renamed: List[RVMClass] = []
+        #: the transformer-dispatch table the object transformers read
+        self.dispatch: TransformerDispatch = {}
         #: trace spans open for the whole update / the current round
         self.update_span = None
         self.round_span = None
@@ -1528,48 +1532,76 @@ class UpdateEngine:
                 vm.run_static_method_synchronously(entry, [0])
                 vm.metrics.inc("dsu.transformer_invocations")
 
-    def _run_object_transformers(self, active: _ActiveUpdate, update_log) -> None:
+    def _transformer_dispatch(self, prepared: PreparedUpdate,
+                              new_classes) -> TransformerDispatch:
+        """Build one update's transformer-dispatch table, keyed by new
+        class id: the class's ``jvolveObject(new, old)`` entry (``None``
+        when the transformer class defines none) and the cycles each
+        object's transform charges. The eager log replay and the lazy
+        touch and sweep transforms all read it."""
         vm = self.vm
+        costs = vm.clock.costs
+        dispatch: TransformerDispatch = {}
+        for new_class in new_classes:
+            descriptor = (
+                f"(L{new_class.name};,L{prepared.prefix}{new_class.name};)V"
+            )
+            dispatch[new_class.id] = (
+                vm.methods.lookup(TRANSFORMERS_CLASS, "jvolveObject",
+                                  descriptor),
+                # Reflective dispatch + field-by-field copy cost model
+                # (§4.1: "our transformer functions use reflection to look
+                # up jvolveObject, and this function copies one field at a
+                # time").
+                costs.transform_dispatch
+                + costs.transform_field * len(new_class.field_layout),
+            )
+        return dispatch
+
+    def _invoke_transformer(self, row: Tuple[Optional[MethodEntry], int],
+                            new_address: int, old_address: int) -> None:
+        """Transform one object through its dispatch-table ``row``: charge
+        the dispatch cycles, then run ``jvolveObject(new, old)`` when the
+        class has one. Shared by the eager and the lazy schedule."""
+        entry, cycles = row
+        vm = self.vm
+        vm.clock.cycles += cycles
+        if entry is not None:
+            vm.run_static_method_synchronously(entry, [new_address, old_address])
+            vm.metrics.inc("dsu.transformer_invocations")
+
+    def _run_object_transformers(self, active: _ActiveUpdate, update_log) -> None:
         self._transform_in_progress.clear()
         self._old_copy_of = {new: old for old, new in update_log}
+        active.dispatch = self._transformer_dispatch(
+            active.prepared, active.update_map.values()
+        )
         for old_address, new_address in update_log:
             self._transform_object(active, old_address, new_address)
 
     def _transform_object(self, active: _ActiveUpdate, old_address: int,
                           new_address: int) -> None:
-        vm = self.vm
-        if vm.objects.status(new_address) == 0:
+        cells = self.vm.heap.cells
+        if cells[new_address + HEADER_STATUS] == 0:
             return  # already transformed
-        if new_address in self._transform_in_progress:
+        in_progress = self._transform_in_progress
+        if new_address in in_progress:
             raise TransformerCycleError(
                 "recursive object transformation cycle detected "
                 "(ill-defined transformer functions, paper §3.4)"
             )
-        self._transform_in_progress.add(new_address)
-        if self.fault_injector is not None:
-            try:
+        in_progress.add(new_address)
+        try:
+            if self.fault_injector is not None:
                 self.fault_injector.on_transform_object(new_address)
-            except Exception:
-                self._transform_in_progress.discard(new_address)
-                raise
-        new_class = vm.objects.class_of(new_address)
-        descriptor = (
-            f"(L{new_class.name};,L{active.prepared.prefix}{new_class.name};)V"
-        )
-        entry = vm.methods.lookup(TRANSFORMERS_CLASS, "jvolveObject", descriptor)
-        # Reflective dispatch + field-by-field copy cost model (§4.1: "our
-        # transformer functions use reflection to look up jvolveObject, and
-        # this function copies one field at a time").
-        vm.clock.tick(
-            vm.clock.costs.transform_dispatch
-            + vm.clock.costs.transform_field * len(new_class.field_layout)
-        )
-        if entry is not None:
-            vm.run_static_method_synchronously(entry, [new_address, old_address])
-            vm.metrics.inc("dsu.transformer_invocations")
-        # Mark transformed *before* releasing in-progress status.
-        vm.objects.set_status(new_address, 0)
-        self._transform_in_progress.discard(new_address)
+            self._invoke_transformer(
+                active.dispatch[cells[new_address + HEADER_TIB]],
+                new_address, old_address,
+            )
+            # Mark transformed *before* releasing in-progress status.
+            cells[new_address + HEADER_STATUS] = 0
+        finally:
+            in_progress.discard(new_address)
 
     def _force_transform(self, address: int) -> None:
         """``Sys.forceTransform(o)``: ensure ``o`` (a new-version object) is
@@ -1609,6 +1641,9 @@ class UpdateEngine:
             track_log=hold,
             sweep_cursor=heap.space_start,
             sweep_collections=vm.collector.collections,
+            dispatch=self._transformer_dispatch(
+                active.prepared, active.update_map.values()
+            ),
         )
         epoch.pending_upper = sum(
             heap.live_instances_upper_bound(old_id)
@@ -1718,21 +1753,9 @@ class UpdateEngine:
         self._lazy_in_progress.add(old_address)
         try:
             new_address = vm.objects.alloc_object(new_class)
-            descriptor = (
-                f"(L{new_class.name};,L{epoch.prefix}{new_class.name};)V"
+            self._invoke_transformer(
+                epoch.dispatch[new_class.id], new_address, old_address
             )
-            entry = vm.methods.lookup(
-                TRANSFORMERS_CLASS, "jvolveObject", descriptor
-            )
-            vm.clock.tick(
-                vm.clock.costs.transform_dispatch
-                + vm.clock.costs.transform_field * len(new_class.field_layout)
-            )
-            if entry is not None:
-                vm.run_static_method_synchronously(
-                    entry, [new_address, old_address]
-                )
-                vm.metrics.inc("dsu.transformer_invocations")
             vm.objects.set_status(old_address, new_address)
             if epoch.track_log:
                 epoch.transformed_log.append((old_address, new_address))

@@ -24,12 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .heap import HEADER_CELLS, HEADER_STATUS, HEADER_TIB, NULL
-from .objectmodel import (
-    ARRAY_ELEMS_OFFSET,
-    ARRAY_LENGTH_OFFSET,
-    ObjectModel,
-)
+from .heap import HEADER_CELLS, HEADER_STATUS, HEADER_TIB
+from .objectmodel import ARRAY_ELEMS_OFFSET, ARRAY_LENGTH_OFFSET
 from .rvmclass import RVMClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,8 +114,6 @@ class SemiSpaceCollector:
         would, so abort/rollback paths can be exercised deterministically.
         """
         vm = self.vm
-        heap = vm.heap
-        objects = vm.objects
         stats = GCStats()
         start_cycles = vm.clock.cycles
         update_map = update_map or {}
@@ -145,72 +139,41 @@ class SemiSpaceCollector:
     ) -> GCStats:
         vm = self.vm
         heap = vm.heap
-        objects = vm.objects
+        cells = heap.cells
+        by_id = vm.registry.by_id
+        clock = vm.clock
+        costs = clock.costs
+        copy_cell_cost = costs.gc_copy_cell
+        scan_cost = costs.gc_scan_object
+        update_cost = costs.gc_scan_object + costs.gc_update_log_entry
+        survivors = stats.survivors_by_class
+        update_log = stats.update_log
+        kind_class = RVMClass.KIND_CLASS
+        kind_array = RVMClass.KIND_ARRAY
+        overflow = "to-space overflow during collection (heap too small)"
 
-        from_space = heap.current_space
+        # Every reference a collection must act on lies in from-space;
+        # NULL (0) sits below every space, so one range test covers both.
+        from_start, from_end = heap._space_bounds[heap.current_space]
         scan = bump = heap.begin_flip()
         to_space_end = heap._space_bounds[heap.other_space()][1]
         # Old copies grow downward from the top when segregated.
         old_top = to_space_end
-
-        def copy_cells(source: int, count: int) -> int:
-            nonlocal bump
-            if bump + count > old_top:
-                raise MemoryError(
-                    "to-space overflow during collection (heap too small)"
-                )
-            destination = bump
-            heap.cells[destination : destination + count] = heap.cells[
-                source : source + count
-            ]
-            bump += count
-            stats.cells_copied += count
-            vm.clock.tick(vm.clock.costs.gc_copy_cell * count)
-            return destination
-
-        def copy_old_version(source: int, count: int) -> int:
-            """Copy the retiring version of an updated object; segregated
-            into the top region when requested."""
-            nonlocal old_top
-            if not separate_old_copies:
-                return copy_cells(source, count)
-            if bump + count > old_top - count:
-                raise MemoryError(
-                    "to-space overflow during collection (heap too small)"
-                )
-            old_top -= count
-            heap.cells[old_top : old_top + count] = heap.cells[
-                source : source + count
-            ]
-            stats.cells_copied += count
-            vm.clock.tick(vm.clock.costs.gc_copy_cell * count)
-            return old_top
-
-        def alloc_cells(count: int) -> int:
-            # Allocating the empty new-version object is a bump + zero fill,
-            # far cheaper than a data copy; its cost is folded into the
-            # per-updated-object log-entry charge.
-            nonlocal bump
-            if bump + count > old_top:
-                raise MemoryError(
-                    "to-space overflow during collection (heap too small)"
-                )
-            destination = bump
-            heap.cells[destination : destination + count] = [0] * count
-            bump += count
-            return destination
+        objects_copied = cells_copied = objects_updated = 0
 
         def forward(address: int) -> int:
-            """Copy the object at ``address`` (if not already) and return
-            its to-space address."""
-            if address == NULL:
-                return NULL
-            if not heap.in_space(address, from_space):
-                # Already a to-space address (e.g. root scanned twice).
-                return address
-            status = heap.cells[address + HEADER_STATUS]
-            if status != 0:
-                if heap.in_space(status, from_space):
+            """Copy the from-space object at ``address`` (if not already)
+            and return its to-space address. Callers have checked that
+            ``address`` lies in from-space.
+
+            Each copied object costs one clock tick: the cell copy plus
+            the scan charge, plus the update-log charge for an updated
+            object's double copy."""
+            nonlocal bump, old_top, objects_copied, cells_copied
+            nonlocal objects_updated
+            status = cells[address + HEADER_STATUS]
+            if status:
+                if from_start <= status < from_end:
                     # Same-space forwarding left by a lazy-transformation
                     # epoch (repro.dsu.engine): the object was transformed
                     # in place before this collection. Chase it — the
@@ -219,68 +182,102 @@ class SemiSpaceCollector:
                     # old shell is simply never copied.
                     return forward(status)
                 return status  # this collection's forwarding pointer
-            if oom_at_copy is not None and stats.objects_copied >= oom_at_copy:
+            if oom_at_copy is not None and objects_copied >= oom_at_copy:
                 raise MemoryError(
-                    f"injected to-space overflow after {stats.objects_copied} "
+                    f"injected to-space overflow after {objects_copied} "
                     "object copies"
                 )
-            rvmclass = vm.registry.by_class_id(heap.cells[address + HEADER_TIB])
-            size = _object_size(objects, rvmclass, address)
+            rvmclass = by_id[cells[address + HEADER_TIB]]
+            kind = rvmclass.kind
+            if kind == kind_class:
+                size = rvmclass.instance_cells
+            elif kind == kind_array:
+                size = ARRAY_ELEMS_OFFSET + cells[address + ARRAY_LENGTH_OFFSET]
+            else:
+                size = HEADER_CELLS + 1
             new_class = update_map.get(rvmclass.id)
             if new_class is None:
-                destination = copy_cells(address, size)
-                heap.cells[destination + HEADER_STATUS] = 0
-                heap.cells[address + HEADER_STATUS] = destination
-                stats.objects_copied += 1
-                stats.survivors_by_class[rvmclass.id] = (
-                    stats.survivors_by_class.get(rvmclass.id, 0) + 1
-                )
-                vm.clock.tick(vm.clock.costs.gc_scan_object)
+                destination = bump
+                if destination + size > old_top:
+                    raise MemoryError(overflow)
+                bump = destination + size
+                cells[destination:bump] = cells[address:address + size]
+                cells[destination + HEADER_STATUS] = 0
+                cells[address + HEADER_STATUS] = destination
+                cells_copied += size
+                objects_copied += 1
+                survivors[rvmclass.id] = survivors.get(rvmclass.id, 0) + 1
+                clock.cycles += copy_cell_cost * size + scan_cost
                 return destination
             # --- updated class: double copy + update log -------------
-            old_copy = copy_old_version(address, size)
-            heap.cells[old_copy + HEADER_STATUS] = 0
-            new_object = alloc_cells(new_class.instance_cells)
-            heap.cells[new_object + HEADER_TIB] = new_class.id
+            # The retiring version is copied first; segregated into the
+            # top region when requested.
+            if separate_old_copies:
+                if bump + size > old_top - size:
+                    raise MemoryError(overflow)
+                old_top -= size
+                old_copy = old_top
+            else:
+                old_copy = bump
+                if old_copy + size > old_top:
+                    raise MemoryError(overflow)
+                bump = old_copy + size
+            cells[old_copy:old_copy + size] = cells[address:address + size]
+            cells_copied += size
+            copy_cost = copy_cell_cost * size
+            cells[old_copy + HEADER_STATUS] = 0
+            # Allocating the empty new-version object is a bump + zero
+            # fill, far cheaper than a data copy; its cost is folded into
+            # the per-updated-object log-entry charge.
+            new_cells = new_class.instance_cells
+            new_object = bump
+            if new_object + new_cells > old_top:
+                clock.cycles += copy_cost  # the old copy already happened
+                raise MemoryError(overflow)
+            bump = new_object + new_cells
+            cells[new_object:bump] = [0] * new_cells
+            cells[new_object + HEADER_TIB] = new_class.id
             # cache the old version's address in the new header (§3.4)
-            heap.cells[new_object + HEADER_STATUS] = old_copy
-            heap.cells[address + HEADER_STATUS] = new_object
-            stats.objects_copied += 1
-            stats.objects_updated += 1
-            stats.survivors_by_class[new_class.id] = (
-                stats.survivors_by_class.get(new_class.id, 0) + 1
-            )
-            stats.update_log.append((old_copy, new_object))
-            vm.clock.tick(
-                vm.clock.costs.gc_scan_object + vm.clock.costs.gc_update_log_entry
-            )
+            cells[new_object + HEADER_STATUS] = old_copy
+            cells[address + HEADER_STATUS] = new_object
+            objects_copied += 1
+            objects_updated += 1
+            survivors[new_class.id] = survivors.get(new_class.id, 0) + 1
+            update_log.append((old_copy, new_object))
+            clock.cycles += copy_cost + update_cost
             return new_object
+
+        def forward_root(address: int) -> int:
+            if from_start <= address < from_end:
+                return forward(address)
+            return address  # NULL, or already a to-space address
 
         # --- roots ------------------------------------------------------
         with vm.tracer.span("gc.roots", "gc"):
-            self._scan_roots(forward, stats)
+            self._scan_roots(forward_root, stats)
 
         # --- Cheney scan --------------------------------------------------
         def scan_object(address: int) -> int:
-            rvmclass = vm.registry.by_class_id(heap.cells[address + HEADER_TIB])
-            if rvmclass.kind == RVMClass.KIND_ARRAY:
-                length = heap.cells[address + ARRAY_LENGTH_OFFSET]
-                size = ARRAY_ELEMS_OFFSET + length
-                if _element_is_ref(rvmclass):
-                    for index in range(length):
-                        cell = address + ARRAY_ELEMS_OFFSET + index
-                        heap.cells[cell] = forward(heap.cells[cell])
-            elif rvmclass.kind == RVMClass.KIND_STRING:
-                size = HEADER_CELLS + 1
-            else:
-                size = rvmclass.instance_cells
+            rvmclass = by_id[cells[address + HEADER_TIB]]
+            kind = rvmclass.kind
+            if kind == kind_class:
                 # New objects created for updated classes have empty fields
                 # (all zero); scanning them is harmless and uniform.
-                for slot, is_ref in enumerate(rvmclass.ref_map):
-                    if is_ref:
-                        cell = address + HEADER_CELLS + slot
-                        heap.cells[cell] = forward(heap.cells[cell])
-            return size
+                for offset in rvmclass.ref_offsets:
+                    ref = cells[address + offset]
+                    if from_start <= ref < from_end:
+                        cells[address + offset] = forward(ref)
+                return rvmclass.instance_cells
+            if kind == kind_array:
+                length = cells[address + ARRAY_LENGTH_OFFSET]
+                if rvmclass.elements_are_refs:
+                    first = address + ARRAY_ELEMS_OFFSET
+                    for cell in range(first, first + length):
+                        ref = cells[cell]
+                        if from_start <= ref < from_end:
+                            cells[cell] = forward(ref)
+                return ARRAY_ELEMS_OFFSET + length
+            return HEADER_CELLS + 1
 
         # The segregated old copies are greylist members too (their fields
         # must be forwarded so transformers see live referents); scanning
@@ -292,14 +289,17 @@ class SemiSpaceCollector:
                     scan += scan_object(scan)
                 # When not segregated, old copies live inside [start, bump)
                 # and the linear scan above already covered them.
-                if separate_old_copies and scanned_old < len(stats.update_log):
-                    while scanned_old < len(stats.update_log):
-                        old_copy, _ = stats.update_log[scanned_old]
+                if separate_old_copies and scanned_old < len(update_log):
+                    while scanned_old < len(update_log):
+                        old_copy, _ = update_log[scanned_old]
                         scan_object(old_copy)
                         scanned_old += 1
                     continue
                 break
 
+        stats.objects_copied = objects_copied
+        stats.cells_copied = cells_copied
+        stats.objects_updated = objects_updated
         heap.finish_flip(bump, ceiling=old_top)
         heap.record_survivors(stats.survivors_by_class)
         self.collections += 1
@@ -403,15 +403,3 @@ class SemiSpaceCollector:
                 frame.stack[index] = forward(frame.stack[index])
                 stats.roots_scanned += 1
 
-
-def _object_size(objects: ObjectModel, rvmclass: RVMClass, address: int) -> int:
-    if rvmclass.kind == RVMClass.KIND_ARRAY:
-        return ARRAY_ELEMS_OFFSET + objects.heap.cells[address + ARRAY_LENGTH_OFFSET]
-    if rvmclass.kind == RVMClass.KIND_STRING:
-        return HEADER_CELLS + 1
-    return rvmclass.instance_cells
-
-
-def _element_is_ref(array_class: RVMClass) -> bool:
-    descriptor = array_class.element_descriptor or ""
-    return descriptor[0] in ("L", "S", "[", "N") if descriptor else False

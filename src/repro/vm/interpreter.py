@@ -419,6 +419,10 @@ def _ref_eq(interp, thread, frame, a, b):
 
 
 # --- heap access -----------------------------------------------------------
+# Field and static handlers index ``vm.heap.cells`` and ``vm.jtoc.cells``
+# directly: both lists are only ever mutated in place (``Heap.grow``
+# extends ``cells``; a rollback truncates or slice-assigns), so the
+# references stay valid for the life of the VM.
 
 
 def _new(interp, thread, frame, a, b):
@@ -441,9 +445,11 @@ def _getfield(interp, thread, frame, a, b):
         vm.lazy_barrier(frame, -1)
     stack = frame.stack
     address = stack.pop()
+    if address == NULL:
+        raise VMTrap("null dereference")
     if vm.transform_read_barrier:
         vm.maybe_force_transform(address)
-    stack.append(vm.objects.read_cell(address, a))
+    stack.append(vm.heap.cells[address + a])
     frame.pc += 1
 
 
@@ -454,17 +460,19 @@ def _putfield(interp, thread, frame, a, b):
     stack = frame.stack
     value = stack.pop()
     address = stack.pop()
-    vm.objects.write_cell(address, a, value)
+    if address == NULL:
+        raise VMTrap("null dereference")
+    vm.heap.cells[address + a] = value
     frame.pc += 1
 
 
 def _getstatic(interp, thread, frame, a, b):
-    frame.stack.append(interp.vm.jtoc.read(a))
+    frame.stack.append(interp.vm.jtoc.cells[a])
     frame.pc += 1
 
 
 def _putstatic(interp, thread, frame, a, b):
-    interp.vm.jtoc.write(a, frame.stack.pop())
+    interp.vm.jtoc.cells[a] = frame.stack.pop()
     frame.pc += 1
 
 

@@ -133,11 +133,6 @@ class ObjectModel:
             raise VMTrap("null dereference")
         return self.heap.read(address + cell_offset)
 
-    def write_cell(self, address: int, cell_offset: int, value: int) -> None:
-        if address == NULL:
-            raise VMTrap("null dereference")
-        self.heap.write(address + cell_offset, value)
-
     def read_field(self, address: int, field_name: str) -> int:
         """Field read by name (slow path: natives, transformers, tests)."""
         slot = self.class_of(address).field_slot(field_name)

@@ -3,8 +3,8 @@
 An :class:`RVMClass` carries everything the JIT bakes into machine code and
 everything the GC needs to trace instances:
 
-* flattened instance-field layout (slot offsets and a per-slot reference
-  map), superclass fields first;
+* flattened instance-field layout (slot offsets and the reference
+  fields' cell offsets), superclass fields first;
 * JTOC indices for static fields;
 * the TIB (:mod:`repro.vm.tib`) mapping virtual-method slots to code.
 
@@ -16,7 +16,7 @@ install a fresh ``RVMClass`` for the new version — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bytecode.classfile import ClassFile
 from ..lang.types import parse_descriptor
@@ -63,8 +63,15 @@ class RVMClass:
         #: flattened instance fields, superclass first
         self.field_layout: List[FieldSlot] = []
         self.field_offsets: Dict[str, FieldSlot] = {}
-        #: per-slot reference map (index = field slot)
-        self.ref_map: List[bool] = []
+        #: total heap cells per instance (header + fields)
+        self.instance_cells = HEADER_CELLS
+        #: reference map: cell offsets of the reference fields, which the
+        #: GC's scan walks
+        self.ref_offsets: Tuple[int, ...] = ()
+        #: arrays only: whether the elements are references the GC traces
+        self.elements_are_refs = bool(element_descriptor) and (
+            element_descriptor[0] in ("L", "S", "[", "N")
+        )
         #: static field name -> JTOC index
         self.static_slots: Dict[str, int] = {}
         #: static field name -> is_reference (parallel to static_slots)
@@ -103,12 +110,10 @@ class RVMClass:
             self.field_layout.append(slot)
             next_slot += 1
         self.field_offsets = {s.name: s for s in self.field_layout}
-        self.ref_map = [s.is_ref for s in self.field_layout]
-
-    @property
-    def instance_cells(self) -> int:
-        """Total heap cells per instance (header + fields)."""
-        return HEADER_CELLS + len(self.field_layout)
+        self.ref_offsets = tuple(
+            s.cell_offset for s in self.field_layout if s.is_ref
+        )
+        self.instance_cells = HEADER_CELLS + len(self.field_layout)
 
     def field_slot(self, name: str) -> FieldSlot:
         return self.field_offsets[name]

@@ -78,6 +78,8 @@ class VM:
         self.native_roots: List[List[int]] = []
         self.extra_roots: List[List[int]] = []
         self.sleep_deadlines: Dict[int, tuple] = {}
+        #: method entry -> (owner name, method info, sync thread name)
+        self._sync_thread_names: Dict[MethodEntry, tuple] = {}
 
         self.halted = False
         self.yield_flag = False
@@ -365,23 +367,36 @@ class VM:
         the rest of the world stays paused. Used for ``<clinit>`` and for
         the DSU engine's transformer invocations."""
         code = self.jit.ensure_compiled(entry)
-        thread = VMThread(name=f"sync:{entry.qualified_name}")
-        thread.frames.append(Frame(code, list(args or []), 0))
+        # The thread name depends only on the entry's owner name and
+        # method info: build it once per entry, again after either changes.
+        owner_name = entry.owner.name
+        named = self._sync_thread_names.get(entry)
+        if named is None or named[0] is not owner_name or named[1] is not entry.info:
+            named = self._sync_thread_names[entry] = (
+                owner_name, entry.info, f"sync:{entry.qualified_name}"
+            )
+        thread = VMThread(name=named[2])
+        thread.frames.append(Frame(code, args or [], 0))  # Frame copies args
         self.threads.append(thread)
+        run_thread = self.interpreter.run_thread
+        dead = VMThread.DEAD
         try:
-            while thread.is_alive():
-                reason = self.interpreter.run_thread(thread, 1_000_000)
-                if reason == BLOCKED:
+            while True:
+                if run_thread(thread, 1_000_000) == BLOCKED:
                     raise VMError(
                         f"{entry.qualified_name} blocked during synchronous execution"
                     )
-                if self.halted:
+                if thread.state == dead or self.halted:
                     break
         finally:
-            if thread in self.threads:
-                self.threads.remove(thread)
+            # The sync thread is normally the last one: pop it in O(1).
+            threads = self.threads
+            if threads and threads[-1] is thread:
+                threads.pop()
+            elif thread in threads:
+                threads.remove(thread)
         if thread.trap_message is not None:
             raise VMError(
                 f"trap during synchronous {entry.qualified_name}: {thread.trap_message}"
             )
-        return getattr(thread, "result", None)
+        return thread.result

@@ -15,6 +15,10 @@ from repro.dsu.safepoint import RetryPolicy
 from tests.dsu_helpers import UpdateFixture
 from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
 
+#: simulated clock when the injected mid-copy overflow aborts the update
+#: below: the collector must charge its first ten copies exactly
+CYCLES_AT_OOM_ABORT = 1_102_337
+
 
 def pool_fields(vm):
     """Field names of the first pooled Item — the update adds ``c``."""
@@ -225,10 +229,20 @@ class TestGCFaults:
             FaultPlan(gc_oom_after_copies=10),
         ).start()
         holder = fixture.update_at(55, UPDATE_V2)
+        engine = fixture.engine
+        abort_apply = engine._abort_apply
+        cycles_at_abort = []
+
+        def record_abort(*args):
+            cycles_at_abort.append(fixture.vm.clock.cycles)
+            return abort_apply(*args)
+
+        engine._abort_apply = record_abort
         fixture.run(until_ms=2_000)
         result = holder["result"]
         assert_clean_abort(fixture, result, "gc", "oom")
         assert "heap exhausted" in result.reason
+        assert cycles_at_abort == [CYCLES_AT_OOM_ABORT]
         assert_old_version_workload_completes(fixture)
 
     def test_unflipped_heap_survives_a_later_real_collection(self):

@@ -77,6 +77,41 @@ class TestInterpreterSemantics:
         )
         assert any("stack overflow" in line for line in vm.trap_log)
 
+    def test_null_field_access_kills_only_its_thread(self):
+        vm = run_main(
+            """
+            class Box { int v; }
+            class Getter {
+                void run() { Box b = null; Sys.print("got " + b.v); }
+            }
+            class Putter {
+                void run() { Box b = null; b.v = 3; Sys.print("put"); }
+            }
+            class Beater {
+                void run() {
+                    for (int i = 0; i < 5; i = i + 1) {
+                        Sys.sleep(10);
+                        Main.beats = Main.beats + 1;
+                    }
+                    Sys.print("beats " + Main.beats);
+                }
+            }
+            class Main {
+                static int beats;
+                static void main() {
+                    Sys.spawn(new Beater());
+                    Sys.spawn(new Getter());
+                    Sys.spawn(new Putter());
+                }
+            }
+            """
+        )
+        assert vm.trap_log == [
+            "Getter.run: null dereference",
+            "Putter.run: null dereference",
+        ]
+        assert vm.console == ["beats 5"]
+
     def test_obsolete_method_call_traps(self):
         # Directly mark an entry obsolete and call it: the guard fires.
         vm = make_vm(
