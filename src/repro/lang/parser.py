@@ -26,6 +26,21 @@ from .types import (
 )
 
 _ACCESS_MODIFIERS = ("public", "private", "protected")
+_PUNCT = TokenKind.PUNCT
+_KEYWORD = TokenKind.KEYWORD
+
+#: binary operator -> precedence level, loosest first; level 0 is "not a
+#: binary operator", and unary operators bind tighter than every level
+_BINARY_LEVELS = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+_RELATIONAL_LEVEL = _BINARY_LEVELS["<"]
+_UNARY_LEVEL = max(_BINARY_LEVELS.values()) + 1
 _EXPR_START_AFTER_CAST = {
     TokenKind.IDENT,
     TokenKind.INT_LITERAL,
@@ -44,8 +59,10 @@ class Parser:
     # token utilities
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # ``_pos`` never passes the final EOF token; a lookahead clamps to it
+        if not offset:
+            return self._tokens[self._pos]
+        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -54,10 +71,12 @@ class Parser:
         return token
 
     def _check_punct(self, punct: str) -> bool:
-        return self._peek().is_punct(punct)
+        token = self._tokens[self._pos]
+        return token.value == punct and token.kind is _PUNCT
 
     def _check_keyword(self, word: str) -> bool:
-        return self._peek().is_keyword(word)
+        token = self._tokens[self._pos]
+        return token.value == word and token.kind is _KEYWORD
 
     def _match_punct(self, punct: str) -> bool:
         if self._check_punct(punct):
@@ -339,68 +358,38 @@ class Parser:
         return ast.For(location, init, condition, update, body)
 
     # ------------------------------------------------------------------
-    # expressions, by descending precedence
+    # expressions
 
-    def _parse_expression(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._check_punct("||"):
-            location = self._advance().location
-            right = self._parse_and()
-            left = ast.Binary(location, "||", left, right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._check_punct("&&"):
-            location = self._advance().location
-            right = self._parse_equality()
-            left = ast.Binary(location, "&&", left, right)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._check_punct("==") or self._check_punct("!="):
-            op = self._advance()
-            right = self._parse_relational()
-            left = ast.Binary(op.location, op.value, left, right)
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_additive()
-        while True:
-            if self._check_keyword("instanceof"):
-                location = self._advance().location
-                tested = self._parse_type()
-                left = ast.InstanceOf(location, left, tested)
-                continue
-            matched = None
-            for op in ("<=", ">=", "<", ">"):
-                if self._check_punct(op):
-                    matched = self._advance()
-                    break
-            if matched is None:
-                return left
-            right = self._parse_additive()
-            left = ast.Binary(matched.location, matched.value, left, right)
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._check_punct("+") or self._check_punct("-"):
-            op = self._advance()
-            right = self._parse_multiplicative()
-            left = ast.Binary(op.location, op.value, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_expression(self, min_level: int = 1) -> ast.Expr:
+        """A binary expression whose operators bind at ``min_level`` or
+        tighter (:data:`_BINARY_LEVELS`); every level is left
+        associative. ``instanceof`` sits at the relational level, and
+        because its right side is a type, not an operand, no tighter
+        operator may follow it: ``x instanceof T + 1`` ends before ``+``.
+        After any operator at level L, only levels up to L can continue
+        the expression, since a tighter one would have joined the right
+        operand."""
         left = self._parse_unary()
-        while self._check_punct("*") or self._check_punct("/") or self._check_punct("%"):
-            op = self._advance()
-            right = self._parse_unary()
-            left = ast.Binary(op.location, op.value, left, right)
-        return left
+        max_level = _UNARY_LEVEL
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            kind = token.kind
+            if kind is _PUNCT:
+                level = _BINARY_LEVELS.get(token.value, 0)
+            elif kind is _KEYWORD and token.value == "instanceof":
+                level = _RELATIONAL_LEVEL
+            else:
+                return left
+            if not min_level <= level <= max_level:
+                return left
+            self._pos += 1
+            if kind is _KEYWORD:
+                left = ast.InstanceOf(token.location, left, self._parse_type())
+            else:
+                right = self._parse_expression(level + 1)
+                left = ast.Binary(token.location, token.value, left, right)
+            max_level = level
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()

@@ -22,6 +22,8 @@ Builtin classes:
     from it).
 """
 
+import functools
+
 PRELUDE_SOURCE = """
 class Object {
 }
@@ -66,8 +68,12 @@ class Files {
 PRELUDE_CLASS_NAMES = ("Object", "Sys", "Net", "Str", "Files")
 
 
+@functools.cache
 def parse_prelude():
-    """Parse the prelude into an AST program (cached per call site)."""
+    """The prelude's AST program, parsed once per process.
+
+    Every caller shares the one program: the symbol table reads it and
+    compiling the prelude type-checks it, and neither mutates it."""
     from .parser import parse
 
     return parse(PRELUDE_SOURCE, "<prelude>")

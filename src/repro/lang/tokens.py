@@ -9,7 +9,7 @@ from .errors import SourceLocation
 
 
 class TokenKind(Enum):
-    """Kinds of lexical tokens produced by :class:`repro.lang.lexer.Lexer`."""
+    """Kinds of lexical tokens produced by :func:`repro.lang.lexer.tokenize`."""
 
     IDENT = auto()
     INT_LITERAL = auto()
@@ -50,8 +50,8 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character punctuation must be listed longest-first so the lexer can
-# use greedy matching.
+# Multi-character punctuation must be listed longest-first: the lexer's
+# pattern tries the alternatives in this order.
 PUNCTUATION = (
     "==",
     "!=",

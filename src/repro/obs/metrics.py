@@ -130,10 +130,17 @@ class Metrics:
     # Convenience single-call forms.
 
     def inc(self, name: str, amount: int = 1, **labels: str) -> None:
-        self.counter(name, **labels).inc(amount)
+        # An unlabelled series is keyed by its bare name: one lookup.
+        counter = None if labels else self.counters.get(name)
+        if counter is None:
+            counter = self.counter(name, **labels)
+        counter.value += amount
 
     def observe(self, name: str, value: float, **labels: str) -> None:
-        self.histogram(name, **labels).observe(value)
+        histogram = None if labels else self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histogram(name, **labels)
+        histogram.observe(value)
 
     def labelled(self, name: str, **labels: str) -> str:
         """The flattened registry key a labelled series is stored under."""

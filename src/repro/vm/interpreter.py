@@ -23,7 +23,7 @@ current pc describes it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .frames import Frame
 from .heap import NULL
@@ -58,6 +58,8 @@ class Interpreter:
     def __init__(self, vm: "VM"):
         self.vm = vm
         self.instructions_executed = 0
+        #: method entry -> (owner name, method info, native name, has result)
+        self._native_calls: Dict["MethodEntry", tuple] = {}
 
     # ------------------------------------------------------------------
     # thread execution
@@ -135,10 +137,8 @@ class Interpreter:
             code = jit.ensure_compiled(entry)
             tib.code[tib_slot] = code
         if entry.info.is_native:
-            native_name = f"{entry.owner.name}.{entry.info.name}"
-            return self._invoke_native(
-                thread, frame, native_name, argc + 1, not entry.info.descriptor.endswith("V")
-            )
+            name, has_result = self._native_call(entry)
+            return self._invoke_native(thread, frame, name, argc + 1, has_result)
         return self._push_frame(thread, frame, code, argc + 1)
 
     def _invoke_entry(self, thread, frame, entry_id: int, argc: int):
@@ -147,16 +147,25 @@ class Interpreter:
         if entry.obsolete:
             raise VMTrap(f"call to obsolete method {entry.qualified_name}")
         if entry.info.is_native:
-            native_name = f"{entry.owner.name}.{entry.info.name}"
-            return self._invoke_native(
-                thread,
-                frame,
-                native_name,
-                argc,
-                not entry.info.descriptor.endswith("V"),
-            )
+            name, has_result = self._native_call(entry)
+            return self._invoke_native(thread, frame, name, argc, has_result)
         code = self._prepare_code(entry)
         return self._push_frame(thread, frame, code, argc)
+
+    def _native_call(self, entry: "MethodEntry") -> Tuple[str, bool]:
+        """A native entry's registry name and has-result flag, built once
+        per entry and again after its owner name or method info change
+        (an update swaps ``info``). The native itself is looked up at
+        every call, so an unknown one traps every time."""
+        cached = self._native_calls.get(entry)
+        owner_name = entry.owner.name
+        info = entry.info
+        if cached is None or cached[0] is not owner_name or cached[1] is not info:
+            cached = self._native_calls[entry] = (
+                owner_name, info, f"{owner_name}.{info.name}",
+                not info.descriptor.endswith("V"),
+            )
+        return cached[2], cached[3]
 
     def _prepare_code(self, entry: "MethodEntry"):
         jit = self.vm.jit
@@ -206,7 +215,8 @@ class Interpreter:
         try:
             result = fn(context, args)
         finally:
-            context.release_roots()
+            if context.roots:
+                context.release_roots()
         if isinstance(result, Block):
             thread.state = thread.BLOCKED
             thread.wake_condition = result.wake_condition

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .vm import VM
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """Returned by a native that cannot complete yet."""
 
@@ -36,23 +36,27 @@ class Block:
 class NativeContext:
     """Services natives use to talk to the VM."""
 
+    __slots__ = ("vm", "thread", "roots")
+
     def __init__(self, vm: "VM", thread: "VMThread"):
         self.vm = vm
         self.thread = thread
-        self._roots: List[List[int]] = []
+        #: roots registered by :meth:`protect`; the caller releases them
+        #: (:meth:`release_roots`) when the call ends, if there are any
+        self.roots: List[List[int]] = []
 
     def protect(self, address: int) -> List[int]:
         """Register ``address`` as a GC root for the duration of this native
         call; read ``root[0]`` afterwards for the possibly-moved address."""
         root = [address]
-        self._roots.append(root)
+        self.roots.append(root)
         self.vm.native_roots.append(root)
         return root
 
     def release_roots(self) -> None:
-        for root in self._roots:
+        for root in self.roots:
             self.vm.native_roots.remove(root)
-        self._roots.clear()
+        self.roots.clear()
 
     # convenience conversions -------------------------------------------------
 
@@ -110,15 +114,19 @@ def _sys_time(ctx: NativeContext, args):
 @native("Sys.sleep")
 def _sys_sleep(ctx: NativeContext, args):
     thread = ctx.thread
-    deadline_key = ("sleep", id(thread.top_frame), thread.top_frame.pc)
-    pending = ctx.vm.sleep_deadlines.get(thread.id)
+    vm = ctx.vm
+    deadlines = vm.sleep_deadlines
+    now = vm.clock.now_ms
+    frame = thread.frames[-1]
+    deadline_key = ("sleep", id(frame), frame.pc)
+    pending = deadlines.get(thread.id)
     if pending is not None and pending[0] == deadline_key:
-        if ctx.vm.clock.now_ms >= pending[1]:
-            del ctx.vm.sleep_deadlines[thread.id]
+        if now >= pending[1]:
+            del deadlines[thread.id]
             return 0
         return Block(None, wake_at_ms=pending[1])
-    deadline = ctx.vm.clock.now_ms + args[0]
-    ctx.vm.sleep_deadlines[thread.id] = (deadline_key, deadline)
+    deadline = now + args[0]
+    deadlines[thread.id] = (deadline_key, deadline)
     return Block(None, wake_at_ms=deadline)
 
 

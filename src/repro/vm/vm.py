@@ -235,20 +235,6 @@ class VM:
     def runnable_threads(self) -> List[VMThread]:
         return [t for t in self.threads if t.state == VMThread.RUNNABLE]
 
-    def _next_wake_time(self) -> Optional[float]:
-        """The earliest due event or sleep deadline, or None when nothing
-        will ever wake a thread."""
-        earliest = self.events.next_time()
-        for thread in self.threads:
-            wake_at = thread.wake_at_ms
-            if (
-                wake_at is not None
-                and thread.state == VMThread.BLOCKED
-                and (earliest is None or wake_at < earliest)
-            ):
-                earliest = wake_at
-        return earliest
-
     def run(
         self,
         until_ms: Optional[float] = None,
@@ -262,7 +248,9 @@ class VM:
         ``self.threads`` that wakes every blocked thread whose deadline
         passed or whose wake condition holds and collects the runnable
         ones in list order; the next of those in round-robin order runs
-        one quantum."""
+        one quantum. The same scan notes the earliest deadline of the
+        threads that stay blocked: when nothing is runnable, the clock
+        fast-forwards to it or to the next event, whichever is first."""
         clock = self.clock
         events = self.events
         interpreter = self.interpreter
@@ -288,6 +276,7 @@ class VM:
                 now = clock.now_ms
             runnable = []
             saw_dead = False
+            earliest_wake = None
             for thread in self.threads:
                 state = thread.state
                 if state == runnable_state:
@@ -302,6 +291,10 @@ class VM:
                         thread.wake_condition = None
                         thread.wake_at_ms = None
                         runnable.append(thread)
+                    elif wake_at is not None and (
+                        earliest_wake is None or wake_at < earliest_wake
+                    ):
+                        earliest_wake = wake_at
                 else:
                     saw_dead = True
             if not runnable:
@@ -310,7 +303,11 @@ class VM:
                 if self.update_pending and self.on_world_stopped is not None:
                     self.on_world_stopped()
                     continue
-                next_time = self._next_wake_time()
+                next_time = events.next_time()
+                if earliest_wake is not None and (
+                    next_time is None or earliest_wake < next_time
+                ):
+                    next_time = earliest_wake
                 if next_time is None:
                     return  # fully idle: nothing will ever run again
                 if until_ms is not None and next_time > until_ms:

@@ -570,3 +570,92 @@ class TestDispatchFollowsFrameCode:
         assert frame.code is not old_code
         assert (frame.locals[1], frame.locals[2]) == (s, i)
         assert self._finish(vm, thread) == s + 1000 * (self.N - i)
+
+
+class TestSleepPollContract:
+    """Pinned behaviour of the sleep/poll cycle: which thread wakes when,
+    how many idle stalls the scheduler sits through and how long, and
+    the simulated clock at the end. Two sleepers with different periods
+    share the VM with a thread blocked on ``Net.accept`` (a wake
+    condition, no deadline) that a scheduled event unblocks."""
+
+    SOURCE = """
+    class Sleeper {
+        int ms;
+        string tag;
+        Sleeper(int ms, string tag) { this.ms = ms; this.tag = tag; }
+        void run() {
+            int i = 0;
+            while (i < 3) {
+                Sys.sleep(ms);
+                Sys.print(tag + "@" + Sys.time());
+                i = i + 1;
+            }
+        }
+    }
+    class Acceptor {
+        void run() {
+            int listenFd = Net.listen(8080);
+            int fd = Net.accept(listenFd);
+            Sys.print("accepted@" + Sys.time());
+            Net.close(fd);
+        }
+    }
+    class Main {
+        static void main() {
+            Sys.spawn(new Sleeper(30, "a"));
+            Sys.spawn(new Sleeper(70, "b"));
+            Sys.spawn(new Acceptor());
+        }
+    }
+    """
+
+    def test_wake_order_idle_stalls_and_final_clock(self):
+        vm = make_vm(self.SOURCE)
+        vm.start_main("Main")
+        vm.events.schedule(125.0, lambda: vm.network.client_connect(8080))
+        vm.run(until_ms=1000)
+        assert vm.console == [
+            "a@30", "a@60", "b@70", "a@90", "accepted@125", "b@140", "b@210",
+        ]
+        assert vm.threads == []
+        assert vm.sleep_deadlines == {}
+        assert vm.metrics.counters["sched.idle_stalls"].value == 7
+        assert vm.metrics.histograms["sched.idle_ms"].summary() == {
+            "count": 7,
+            "total": 209.99209999999997,
+            "min": 9.996000000000002,
+            "max": 69.99994999999998,
+            "last": 69.99994999999998,
+            "mean": 29.998871428571423,
+        }
+        assert vm.clock.cycles == 4_209_584
+
+
+class TestUnknownNative:
+    def test_unregistered_native_traps_on_every_call(self):
+        """Each call of a ``native`` method with no implementation traps
+        its thread, the second call through the same entry included."""
+        vm = run_main(
+            """
+            class Gadget {
+                static native int zap(int x);
+            }
+            class Caller {
+                void run() { Sys.print("got " + Gadget.zap(1)); }
+            }
+            class Main {
+                static void main() {
+                    Sys.spawn(new Caller());
+                    Sys.spawn(new Caller());
+                    Sys.print("main done");
+                }
+            }
+            """
+        )
+        assert vm.console == ["main done"]
+        assert vm.trap_log == [
+            "Caller.run: unknown native method Gadget.zap",
+            "Caller.run: unknown native method Gadget.zap",
+        ]
+        assert vm.threads == []
