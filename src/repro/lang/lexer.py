@@ -15,8 +15,9 @@ counts: the column counts characters since the last ``\\n`` (a tab or a
 ``\\r`` is one column). Letters and digits have :class:`str` semantics:
 a word is a run of ``\\w`` (``isalnum()`` or ``_``); it is an identifier
 when it starts with ``isalpha()`` or ``_``, and an integer literal is
-its leading ``isdigit()`` run (``isdigit`` accepts ``'²'``, which
-``\\d`` does not).
+its leading ``isdecimal()`` run, which :func:`int` always accepts (a
+digit that is not decimal, such as ``'²'``, ends the literal and is
+rejected on its own).
 """
 
 from __future__ import annotations
@@ -99,16 +100,16 @@ def tokenize(source: str, filename: str = "<source>") -> List[Token]:
             first = word[0]
             if first.isalpha() or first == "_":
                 append(Token(keyword if word in keywords else ident, word, location))
-            elif first.isdigit():
-                if not word.isdigit():
+            elif first.isdecimal():
+                if not word.isdecimal():
                     digits = 1
-                    while word[digits].isdigit():
+                    while word[digits].isdecimal():
                         digits += 1
                     after = word[digits]
                     if after.isalpha() or after == "_":
                         raise LexError("identifier may not start with a digit", location)
-                    # a numeric character that is not a digit ends the
-                    # literal; it is lexed (and rejected) on its own
+                    # a numeric character that is not a decimal digit
+                    # ends the literal; it is lexed (and rejected) on its own
                     word = word[:digits]
                     end = pos + digits
                 append(Token(integer, word, location))

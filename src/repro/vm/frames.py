@@ -72,6 +72,14 @@ class VMThread:
         #: return value of the thread's root frame, if it produced one
         self.result: Optional[int] = None
 
+    def restart(self, name: str) -> None:
+        """Make a finished thread (dead, no frames) runnable again under
+        ``name``, as a fresh one would be; it keeps its id."""
+        self.name = name
+        self.state = VMThread.RUNNABLE
+        self.trap_message = None
+        self.result = None
+
     @property
     def top_frame(self) -> Optional[Frame]:
         return self.frames[-1] if self.frames else None

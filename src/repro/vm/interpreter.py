@@ -13,7 +13,9 @@ per pc. A handler executes one instruction, advances ``frame.pc`` itself,
 and returns ``None`` for straight-line code or a truthy signal
 (:data:`YIELD_POINT` or :data:`BLOCKED`). :meth:`Interpreter.run_thread`
 runs straight-line handlers back to back and looks at the yield flag and
-the quantum only when a handler signals a yield point.
+the quantum only when a handler signals a yield point. A long
+straight-line run of pure instructions becomes one Python function once
+it is hot (see "compiled straight-line runs" below).
 
 GC discipline: an instruction must not mutate the operand stack before its
 last potential allocation, so that a collection triggered mid-instruction
@@ -23,6 +25,8 @@ current pc describes it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .frames import Frame
@@ -58,6 +62,10 @@ class Interpreter:
     def __init__(self, vm: "VM"):
         self.vm = vm
         self.instructions_executed = 0
+        #: instructions that compiled runs executed beyond the one step
+        #: the dispatch loop counts per handler call; run_thread folds it
+        #: into its step count and keeps a nested call's count apart
+        self.run_steps = 0
         #: method entry -> (owner name, method info, native name, has result)
         self._native_calls: Dict["MethodEntry", tuple] = {}
 
@@ -75,6 +83,8 @@ class Interpreter:
         cost = clock.costs.instruction
         frames = thread.frames
         steps = 0
+        outer_run_steps = self.run_steps
+        self.run_steps = 0
         try:
             while True:
                 if vm.halted:
@@ -99,7 +109,7 @@ class Interpreter:
                 if vm.yield_flag or vm.yield_requested:
                     vm.yield_requested = False
                     return PARKED_AT_YIELD
-                if steps >= quantum:
+                if steps + self.run_steps >= quantum:
                     return RAN_QUANTUM
         except VMTrap as trap:
             thread.trap_message = str(trap)
@@ -108,7 +118,8 @@ class Interpreter:
             vm.record_trap(thread, trap)
             return THREAD_DIED
         finally:
-            self.instructions_executed += steps
+            self.instructions_executed += steps + self.run_steps
+            self.run_steps = outer_run_steps
 
     # ------------------------------------------------------------------
     # call machinery (also the INVOKEVIRTUAL / INVOKESTATIC / INVOKESPECIAL
@@ -126,6 +137,11 @@ class Interpreter:
         rvmclass = vm.objects.class_of(receiver)
         tib = rvmclass.tib
         entry = tib.methods[tib_slot]
+        if entry.info.is_native:
+            # A native has no bytecode to compile: dispatch it by name (an
+            # unknown one traps the thread), as a static native call does.
+            name, has_result = self._native_call(entry)
+            return self._invoke_native(thread, frame, name, argc + 1, has_result)
         # Count every dispatch (a warm TIB cache must not hide hotness from
         # the adaptive system) and refresh the cache when the entry's
         # active code changed (invalidation or tier promotion).
@@ -136,9 +152,6 @@ class Interpreter:
         if code is None or code is not entry.active_code():
             code = jit.ensure_compiled(entry)
             tib.code[tib_slot] = code
-        if entry.info.is_native:
-            name, has_result = self._native_call(entry)
-            return self._invoke_native(thread, frame, name, argc + 1, has_result)
         return self._push_frame(thread, frame, code, argc + 1)
 
     def _invoke_entry(self, thread, frame, entry_id: int, argc: int):
@@ -626,13 +639,226 @@ _HANDLERS = {
 }
 
 
+# ----------------------------------------------------------------------
+# compiled straight-line runs. A run is a maximal sequence of pure
+# instructions (constants, locals, stack shuffles, integer arithmetic and
+# comparisons, statics and fields) that no jump enters past its first pc.
+# Its first table entry is a run-entry handler; after HOT entries the run
+# becomes one Python function that keeps operands in Python locals, ticks
+# the clock once and leaves the frame exactly as the per-pc handlers
+# would. Entering mid-run runs the per-pc handlers unchanged.
+
+#: shortest run that gets a run-entry handler
+MIN_RUN = 8
+#: entries into a run before it is compiled; host work only (not a JIT
+#: tier), invisible to the simulated clock
+HOT = 16
+
+#: value-producing expression templates over the operands' names
+_BINARY = {
+    _add: "{0} + {1}",
+    _sub: "{0} - {1}",
+    _mul: "{0} * {1}",
+    _div: "int({0} / {1})",
+    _mod: "{0} - int({0} / {1}) * {1}",
+    _eq: "1 if {0} == {1} else 0",
+    _ne: "1 if {0} != {1} else 0",
+    _lt: "1 if {0} < {1} else 0",
+    _le: "1 if {0} <= {1} else 0",
+    _gt: "1 if {0} > {1} else 0",
+    _ge: "1 if {0} >= {1} else 0",
+}
+_UNARY = {_neg: "-{0}", _not: "0 if {0} else 1"}
+#: pure handlers whose operand ``a`` is an int baked into the run
+_INT_OPERAND = frozenset(
+    {_push_constant, _load, _store, _getstatic, _putstatic, _getfield, _putfield}
+)
+_PURE = frozenset(_BINARY) | frozenset(_UNARY) | {_pop, _dup, _swap} | _INT_OPERAND
+
+
+class _Run:
+    """One straight-line run: its first pc, its original per-pc entries
+    and how often it was entered."""
+
+    __slots__ = ("start", "entries", "hits")
+
+    def __init__(self, start: int, entries: Tuple[TableEntry, ...]):
+        self.start = start
+        self.entries = entries
+        self.hits = 0
+
+
+def _run_entry(interp, thread, frame, run, b):
+    """Run-entry handler: runs the first instruction's own handler until
+    the run is hot, then puts the compiled run into the frame's table."""
+    run.hits += 1
+    if run.hits < HOT:
+        handler, a, b = run.entries[0]
+        return handler(interp, thread, frame, a, b)
+    compiled = _compile_run(run.start, run.entries)
+    frame.code.table[run.start] = (compiled, None, None)
+    return compiled(interp, thread, frame, None, None)
+
+
+def _literal(value: int) -> str:
+    return f"({value!r})" if value < 0 else repr(value)
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile_run(start: int, entries: Tuple[TableEntry, ...]) -> Handler:
+    """One Python function running ``entries`` (the run at ``start``).
+
+    Operand-stack values live in Python locals; ``virtual`` names those
+    not yet pushed to ``frame.stack`` (above everything on it). Where an
+    instruction can trap (a null receiver, a zero divisor) the function
+    first puts the stack, ``frame.pc``, the step count and the clock in
+    the state the per-pc handlers would have left, then returns that
+    instruction's own handler, which traps with its usual message. The
+    dispatch loop counts and ticks one instruction per handler call, so
+    the function accounts for one fewer than it ran. The source depends
+    only on the arguments, so identical runs share one function."""
+    lines: List[str] = []
+    emit = lines.append
+    virtual: List[str] = []
+    #: which of ``frame.locals`` (L), ``jtoc.cells`` (J) and ``heap.cells``
+    #: (C) the body indexes
+    bound = set()
+    temps = itertools.count()
+
+    def fresh() -> str:
+        return f"t{next(temps)}"
+
+    def need(count: int) -> None:
+        while len(virtual) < count:
+            name = fresh()
+            emit(f"    {name} = stack.pop()")
+            virtual.insert(0, name)
+
+    def settle(pc: int, counted: int) -> List[str]:
+        """Lines pushing the pending operands, setting ``frame.pc`` and
+        counting and ticking ``counted`` instructions."""
+        settled = []
+        if virtual:
+            settled.append(f"stack.extend(({', '.join(virtual)},))")
+        settled.append(f"frame.pc = {pc}")
+        if counted:
+            settled += [
+                f"interp.run_steps += {counted}",
+                "clock = vm.clock",
+                f"clock.cycles += clock.costs.instruction * {counted}",
+            ]
+        return settled
+
+    def trap_unless(k: int, condition: str) -> None:
+        handler, a, _ = entries[k]
+        emit(f"    if {condition}:")
+        for line in settle(start + k, k):
+            emit(f"        {line}")
+        emit(f"        return {handler.__name__}(interp, thread, frame, {a!r}, None)")
+
+    for k, (handler, a, _) in enumerate(entries):
+        if handler is _push_constant:
+            virtual.append(_literal(a))
+        elif handler is _load or handler is _getstatic:
+            cells = "L" if handler is _load else "J"
+            bound.add(cells)
+            name = fresh()
+            emit(f"    {name} = {cells}[{a}]")
+            virtual.append(name)
+        elif handler is _store or handler is _putstatic:
+            cells = "L" if handler is _store else "J"
+            bound.add(cells)
+            need(1)
+            emit(f"    {cells}[{a}] = {virtual.pop()}")
+        elif handler is _getfield:
+            bound.add("C")
+            need(1)
+            trap_unless(k, f"{virtual[-1]} == {NULL}")
+            name = fresh()
+            emit(f"    {name} = C[{virtual.pop()} + {a}]")
+            virtual.append(name)
+        elif handler is _putfield:
+            bound.add("C")
+            need(2)
+            trap_unless(k, f"{virtual[-2]} == {NULL}")
+            value = virtual.pop()
+            emit(f"    C[{virtual.pop()} + {a}] = {value}")
+        elif handler is _pop:
+            if virtual:
+                virtual.pop()
+            else:
+                emit("    stack.pop()")
+        elif handler is _dup:
+            need(1)
+            virtual.append(virtual[-1])
+        elif handler is _swap:
+            need(2)
+            virtual[-1], virtual[-2] = virtual[-2], virtual[-1]
+        elif handler in _UNARY:
+            need(1)
+            name = fresh()
+            emit(f"    {name} = {_UNARY[handler].format(virtual.pop())}")
+            virtual.append(name)
+        else:
+            need(2)
+            if handler is _div or handler is _mod:
+                trap_unless(k, f"{virtual[-1]} == 0")
+            right = virtual.pop()
+            name = fresh()
+            emit(f"    {name} = {_BINARY[handler].format(virtual.pop(), right)}")
+            virtual.append(name)
+    prologue = ["def run(interp, thread, frame, a, b):", "    vm = interp.vm"]
+    if "C" in bound:
+        # A lazy epoch or the transform read barrier routes field access
+        # through its handlers: run the first instruction per pc instead.
+        first, a, _ = entries[0]
+        prologue += [
+            "    if vm.lazy_barrier is not None or vm.transform_read_barrier:",
+            f"        return {first.__name__}(interp, thread, frame, {a!r}, None)",
+            "    C = vm.heap.cells",
+        ]
+    prologue.append("    stack = frame.stack")
+    if "L" in bound:
+        prologue.append("    L = frame.locals")
+    if "J" in bound:
+        prologue.append("    J = vm.jtoc.cells")
+    epilogue = [f"    {line}" for line in settle(start + len(entries), len(entries) - 1)]
+    source = "\n".join(prologue + lines + epilogue) + "\n"
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<run at pc {start}>", "exec"), globals(), namespace)
+    return namespace["run"]
+
+
+def _mark_runs(table: List[TableEntry], instructions: Sequence["Instr"]) -> None:
+    """Put a run-entry handler at the first pc of every run of at least
+    :data:`MIN_RUN` pure instructions. A jump target starts a new run, so
+    a loop head can begin one."""
+    targets = {
+        instr.a for instr in instructions
+        if instr.op in ("JUMP", "JUMP_IF_FALSE", "JUMP_IF_TRUE")
+    }
+    start = None
+    for pc, (handler, a, b) in enumerate(table + [(None, None, None)]):
+        pure = handler in _PURE and (
+            type(a) is int if handler in _INT_OPERAND else a is None
+        ) and b is None
+        if start is not None and (not pure or pc in targets):
+            if pc - start >= MIN_RUN:
+                run = _Run(start, tuple(table[start:pc]))
+                table[start] = (_run_entry, run, None)
+            start = None
+        if pure and start is None:
+            start = pc
+
+
 def decode(instructions: Sequence["Instr"]) -> List[TableEntry]:
     """Pre-decode resolved machine code into its handler table, one
     ``(handler, a, b)`` entry per pc. Operands that only steer the
     handler are folded in here: constant booleans and ``null`` become
     plain pushes, a ``JUMP`` is a back edge (a yield point) or not, and a
     native call's return descriptor becomes a has-result flag. An
-    unknown opcode decodes to a handler that traps when it is reached."""
+    unknown opcode decodes to a handler that traps when it is reached.
+    Straight-line runs get their run-entry handlers last."""
     table: List[TableEntry] = []
     for pc, instr in enumerate(instructions):
         op, a, b = instr.op, instr.a, instr.b
@@ -649,4 +875,5 @@ def decode(instructions: Sequence["Instr"]) -> List[TableEntry]:
             table.append((_HANDLERS[op], a, b))
         else:
             table.append((_unknown_opcode, op, None))
+    _mark_runs(table, instructions)
     return table

@@ -80,6 +80,9 @@ class VM:
         self.sleep_deadlines: Dict[int, tuple] = {}
         #: method entry -> (owner name, method info, sync thread name)
         self._sync_thread_names: Dict[MethodEntry, tuple] = {}
+        #: finished synchronous threads, reused by the next synchronous
+        #: runs (one per level of nesting)
+        self._idle_sync_threads: List[VMThread] = []
 
         self.halted = False
         self.yield_flag = False
@@ -372,7 +375,12 @@ class VM:
             named = self._sync_thread_names[entry] = (
                 owner_name, entry.info, f"sync:{entry.qualified_name}"
             )
-        thread = VMThread(name=named[2])
+        idle = self._idle_sync_threads
+        if idle:
+            thread = idle.pop()
+            thread.restart(named[2])
+        else:
+            thread = VMThread(name=named[2])
         thread.frames.append(Frame(code, args or [], 0))  # Frame copies args
         self.threads.append(thread)
         run_thread = self.interpreter.run_thread
@@ -392,6 +400,8 @@ class VM:
                 threads.pop()
             elif thread in threads:
                 threads.remove(thread)
+        if thread.state == dead and not thread.frames:
+            idle.append(thread)
         if thread.trap_message is not None:
             raise VMError(
                 f"trap during synchronous {entry.qualified_name}: {thread.trap_message}"

@@ -7,7 +7,7 @@ import pytest
 from repro.bytecode.instructions import Instr
 from repro.compiler.compile import compile_source
 from repro.dsu.transaction import UpdateTransaction
-from repro.vm import natives
+from repro.vm import interpreter, natives
 from repro.vm.frames import Frame, VMThread
 from repro.vm.interpreter import RAN_QUANTUM, THREAD_DIED
 from repro.vm.osr import osr_replace
@@ -383,12 +383,14 @@ class TestScheduler:
         assert vm.interpreter.instructions_executed == sum(quanta)
 
 
-def _hand_built(instructions):
+def _hand_built(instructions, max_locals=0):
     """A VM plus a thread whose one frame runs ``instructions`` (machine
     code, used as is: never verified, never resolved)."""
     vm = make_vm("class T { static void f() { } }")
     code = vm.jit.compile_base(vm.methods.lookup("T", "f", "()V"))
-    code = dataclasses.replace(code, instructions=list(instructions))
+    code = dataclasses.replace(
+        code, instructions=list(instructions), max_locals=max_locals
+    )
     thread = VMThread()
     thread.frames.append(Frame(code, [], 0))
     vm.threads.append(thread)
@@ -464,6 +466,124 @@ class TestInterpreterContract:
             assert vm.interpreter.run_thread(thread, 1) == RAN_QUANTUM
             assert frame.pc == 0
             assert vm.interpreter.instructions_executed - executed == 2
+
+    #: 12 pure instructions: l0 = 6, l1 = 12, l0 = 18, then push 18, 12
+    RUN = [
+        Instr("CONST_INT", 6),
+        Instr("STORE", 0),
+        Instr("LOAD", 0),
+        Instr("CONST_INT", 2),
+        Instr("MUL"),
+        Instr("STORE", 1),
+        Instr("LOAD", 1),
+        Instr("LOAD", 0),
+        Instr("ADD"),
+        Instr("STORE", 0),
+        Instr("LOAD", 0),
+        Instr("LOAD", 1),
+    ]
+
+    def test_trap_inside_a_compiled_run_counts_and_ticks_what_ran(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(interpreter, "HOT", 1)  # compile at first entry
+        for trapping, message in (
+            ([Instr("CONST_INT", 0), Instr("DIV")], "division by zero"),
+            ([Instr("CONST_NULL"), Instr("GETFIELD", 2)], "null dereference"),
+            ([Instr("CONST_NULL"), Instr("LOAD", 0), Instr("PUTFIELD", 2)],
+             "null dereference"),
+        ):
+            vm, thread = _hand_built(
+                self.RUN + trapping + self.RUN + [Instr("RETURN")],
+                max_locals=2,
+            )
+            executed = vm.interpreter.instructions_executed
+            cycles = vm.clock.cycles
+            assert vm.interpreter.run_thread(thread, 1_000) == THREAD_DIED
+            assert thread.trap_message == message
+            ran = len(self.RUN) + len(trapping) - 1
+            assert vm.interpreter.instructions_executed - executed == ran
+            assert vm.clock.cycles - cycles == ran * vm.clock.costs.instruction
+            assert vm.interpreter.run_steps == 0
+
+    def test_native_after_a_compiled_run_sees_the_exact_cycles(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(interpreter, "HOT", 1)  # compile at first entry
+        seen = []
+
+        def probe(context, args):
+            seen.append((context.vm.clock.cycles, args))
+            return 0
+
+        monkeypatch.setitem(natives._REGISTRY, "Probe.cycles", probe)
+        body = self.RUN + [Instr("INVOKENATIVE", "Probe.cycles", (2, "V"))]
+        vm, thread = _hand_built(body * 2 + [Instr("RETURN")], max_locals=2)
+        table = thread.frames[0].code.table
+        cost = vm.clock.costs.instruction
+        start = vm.clock.cycles
+        while thread.is_alive():
+            vm.interpreter.run_thread(thread, 1_000)
+        # Both runs compiled at their first entry.
+        assert table[0][0] is not interpreter._run_entry
+        assert table[len(body)][0] is not interpreter._run_entry
+        call = vm.clock.costs.native_call
+        assert seen == [
+            (start + 12 * cost, [18, 12]),
+            (start + 25 * cost + call, [18, 12]),
+        ]
+        assert vm.clock.cycles - start == 27 * cost + 2 * call
+        assert vm.interpreter.instructions_executed == 27
+
+    def test_a_nested_run_thread_keeps_the_outer_count_apart(
+        self, monkeypatch
+    ):
+        """A native that runs another thread to completion (as a forced
+        transformer does) between two compiled runs of the outer one."""
+        monkeypatch.setattr(interpreter, "HOT", 1)  # compile at first entry
+        _, inner = _hand_built(self.RUN[:10] + [Instr("RETURN")], max_locals=2)
+        counts = []
+
+        def nested(context, args):
+            interp = context.vm.interpreter
+            before = interp.instructions_executed
+            interp.run_thread(inner, 1_000)
+            counts.append(interp.instructions_executed - before)
+            return 0
+
+        monkeypatch.setitem(natives._REGISTRY, "Probe.nested", nested)
+        body = self.RUN + [Instr("INVOKENATIVE", "Probe.nested", (2, "V"))]
+        vm, thread = _hand_built(body + self.RUN + [Instr("RETURN")],
+                                 max_locals=2)
+        assert vm.interpreter.run_thread(thread, 1_000) == THREAD_DIED
+        assert counts == [11]
+        assert vm.interpreter.instructions_executed == 11 + 2 * 12 + 2
+        assert vm.interpreter.run_steps == 0
+
+    def test_a_frame_entered_mid_run_runs_the_per_pc_handlers(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(interpreter, "HOT", 1)  # compile at first entry
+        vm, thread = _hand_built(
+            self.RUN + [Instr("ADD"), Instr("RETURN_VALUE")], max_locals=2
+        )
+        code = thread.frames[0].code
+        vm.interpreter.run_thread(thread, 1_000)
+        assert thread.result == 18 + 12
+        assert code.table[0][0] is not interpreter._run_entry
+        # A second frame on the same code, now compiled, entered at pc 6 as
+        # an OSR transfer or a resumed call would, with locals (3, 4).
+        resumed = VMThread()
+        frame = Frame(code, [3, 4], 0)
+        frame.pc = 6
+        resumed.frames.append(frame)
+        executed = vm.interpreter.instructions_executed
+        cycles = vm.clock.cycles
+        vm.interpreter.run_thread(resumed, 1_000)
+        # pc 6 to 13: l0 = 4 + 3, then push 7 and 4, add, return.
+        assert resumed.result == 11
+        assert vm.interpreter.instructions_executed - executed == 8
+        assert vm.clock.cycles - cycles == 8 * vm.clock.costs.instruction
 
 
 SUM_PROGRAM = """
@@ -657,5 +777,33 @@ class TestUnknownNative:
         assert vm.trap_log == [
             "Caller.run: unknown native method Gadget.zap",
             "Caller.run: unknown native method Gadget.zap",
+        ]
+        assert vm.threads == []
+
+    def test_unregistered_instance_native_traps_its_thread(self):
+        """A virtual call of an instance ``native`` with no implementation
+        traps its thread like a static one: it is dispatched by name, not
+        compiled (it has no bytecode), so nothing escapes ``vm.run()``."""
+        vm = run_main(
+            """
+            class Gadget {
+                native int poke(int x);
+            }
+            class Caller {
+                void run() { Sys.print("got " + new Gadget().poke(1)); }
+            }
+            class Main {
+                static void main() {
+                    Sys.spawn(new Caller());
+                    Sys.spawn(new Caller());
+                    Sys.print("main done");
+                }
+            }
+            """
+        )
+        assert vm.console == ["main done"]
+        assert vm.trap_log == [
+            "Caller.run: unknown native method Gadget.poke",
+            "Caller.run: unknown native method Gadget.poke",
         ]
         assert vm.threads == []

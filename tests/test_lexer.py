@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lang.errors import LexError
+from repro.compiler.compile import compile_source
+from repro.lang.errors import CompileError, LexError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokenKind
 
@@ -35,6 +36,19 @@ class TestBasicTokens:
         tokens = tokenize("0 42 1234567")
         assert [t.value for t in tokens[:-1]] == ["0", "42", "1234567"]
         assert all(t.kind is TokenKind.INT_LITERAL for t in tokens[:-1])
+
+    def test_non_decimal_digit_ends_an_int_literal_and_is_rejected(self):
+        """``'²'.isdigit()`` holds but ``int()`` refuses it: the literal
+        stops before it, and the compiler reports it with a location
+        instead of crashing the parser."""
+        with pytest.raises(LexError) as lexed:
+            tokenize("x = 1²;")
+        assert lexed.value.message == "unexpected character '²'"
+        assert (lexed.value.location.line, lexed.value.location.column) == (1, 6)
+        with pytest.raises(CompileError) as compiled:
+            compile_source("class C { int x = 1²; }")
+        assert compiled.value.location.column == 20
+        assert values("٣٤ + 1") == ["٣٤", "+", "1"]
 
     def test_digit_prefixed_identifier_rejected(self):
         with pytest.raises(LexError):

@@ -1,8 +1,11 @@
 """Differential test: the regex lexer against the character-at-a-time
 lexer it replaced.
 
-``_ReferenceLexer`` is the earlier hand-written lexer, kept verbatim as
-the oracle. For every drawn input both must produce the same tokens
+``_ReferenceLexer`` is the earlier hand-written lexer, kept as the
+oracle verbatim but for one rule: an integer literal is a run of
+``isdecimal()`` characters, not ``isdigit()`` ones, so that ``int()``
+accepts every literal (``'1²'`` used to lex as one literal and then
+crash the parser). For every drawn input both must produce the same tokens
 (kind, value, line, column) or raise a :class:`LexError` with the same
 message at the same location. The alphabet is chosen to reach every
 branch of both: quotes and escapes, both comment forms, ``\\r`` and tabs
@@ -94,7 +97,7 @@ class _ReferenceLexer:
     def _next_token(self) -> Token:
         location = self._location()
         char = self._peek()
-        if char.isdigit():
+        if char.isdecimal():
             return self._lex_number(location)
         if char.isalpha() or char == "_":
             return self._lex_word(location)
@@ -109,7 +112,7 @@ class _ReferenceLexer:
 
     def _lex_number(self, location: SourceLocation) -> Token:
         digits = []
-        while not self._at_end() and self._peek().isdigit():
+        while not self._at_end() and self._peek().isdecimal():
             digits.append(self._advance())
         if not self._at_end() and (self._peek().isalpha() or self._peek() == "_"):
             raise LexError("identifier may not start with a digit", location)
